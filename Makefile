@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test race chaos bench bench-smoke bench-figures check serve-smoke replay-smoke replay-ab fleet-smoke cluster-smoke corpus perf-gate fuzz-wal clean
+.PHONY: all build fmt vet test e2ebench-test race chaos bench bench-smoke bench-figures check serve-smoke replay-smoke replay-ab fleet-smoke cluster-smoke corpus perf-gate fuzz-wal clean
 
 all: check
 
@@ -22,6 +22,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The served-path benchmark is its own Go module (e2ebench/go.mod), so
+# the root `go test ./...` never reaches its oracle, tail-percentile and
+# self-time tests; vet and test it on its own (a few seconds).
+e2ebench-test:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # -short here skips the chaos e2e, which gets its own race-enabled
 # target below — no point running the slowest test twice per check.
@@ -66,7 +72,7 @@ bench-smoke:
 bench-figures:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 
-check: fmt vet build test race chaos fleet-smoke cluster-smoke
+check: fmt vet build test e2ebench-test race chaos fleet-smoke cluster-smoke
 
 # Boots dwatchd -simulate with the observability plane and curls the
 # endpoints a monitoring stack would: liveness, metrics, live stats.

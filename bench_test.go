@@ -512,10 +512,11 @@ func BenchmarkPMusicSpectrum(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		rows := x.RowViews()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ws.Compute(x); err != nil {
+			if _, err := ws.Compute(rows); err != nil {
 				b.Fatal(err)
 			}
 		}

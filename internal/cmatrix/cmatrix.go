@@ -51,6 +51,16 @@ func FromRows(rows [][]complex128) (*Matrix, error) {
 	return m, nil
 }
 
+// RowViews returns one slice per row, each aliasing m.Data — the
+// snapshot-rows form the spectrum workspaces read, without a copy.
+func (m *Matrix) RowViews() [][]complex128 {
+	rows := make([][]complex128, m.Rows)
+	for i := range rows {
+		rows[i] = m.Data[i*m.Cols : (i+1)*m.Cols : (i+1)*m.Cols]
+	}
+	return rows
+}
+
 // Identity returns the n×n identity matrix.
 func Identity(n int) *Matrix {
 	m := New(n, n)
@@ -277,10 +287,37 @@ func EigenHermitianJacobi(a *Matrix) (*Eigen, error) {
 	return ws.EigenHermitianJacobi(a)
 }
 
+// Solver selects the Hermitian eigendecomposition backend of
+// EigenWorkspace.Decompose.
+type Solver int
+
+const (
+	// SolverAuto runs tridiagonal QL/QR, falling back to cyclic Jacobi
+	// if the QL iteration budget is ever exhausted.
+	SolverAuto Solver = iota
+	// SolverQR runs only tridiagonal QL/QR; non-convergence is an error.
+	SolverQR
+	// SolverJacobi runs only the cyclic complex Jacobi sweep.
+	SolverJacobi
+)
+
+func (s Solver) String() string {
+	switch s {
+	case SolverAuto:
+		return "auto"
+	case SolverQR:
+		return "qr"
+	case SolverJacobi:
+		return "jacobi"
+	default:
+		return fmt.Sprintf("Solver(%d)", int(s))
+	}
+}
+
 // EigenWorkspace holds the eigensolver scratch (Householder/QL vectors
 // and the Jacobi matrices) so repeated eigendecompositions of same-sized
-// inputs allocate nothing beyond the escaping Eigen result. The zero
-// value is ready to use; a workspace is not safe for concurrent use.
+// inputs allocate nothing beyond the destination Eigen. The zero value
+// is ready to use; a workspace is not safe for concurrent use.
 type EigenWorkspace struct {
 	w, v   *Matrix
 	vals   []float64
@@ -329,59 +366,80 @@ func (ws *EigenWorkspace) prepare(a *Matrix) (int, error) {
 	return n, nil
 }
 
-// EigenHermitian is EigenHermitian reusing the workspace's scratch. The
-// returned Eigen owns its memory and stays valid across further calls.
+// Decompose writes the eigendecomposition of a into dst, reusing dst's
+// storage when it already has a's size, so a caller that keeps one
+// destination per workspace decomposes with zero allocation. dst is
+// owned by the caller; on error its contents are unspecified.
 //
-// The solver is Householder tridiagonalization + implicit-shift QL
+// SolverAuto is Householder tridiagonalization + implicit-shift QL
 // (eigenqr.go). If the QL iteration budget is ever exhausted — not
 // observed on Hermitian input, but the guard exists — the cyclic Jacobi
 // solver runs as a fallback, so callers keep Jacobi's robustness with
 // QR's speed.
-func (ws *EigenWorkspace) EigenHermitian(a *Matrix) (*Eigen, error) {
+func (ws *EigenWorkspace) Decompose(dst *Eigen, a *Matrix, s Solver) error {
 	n, err := ws.prepare(a)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	eg, err := ws.eigenQL(n)
-	if err == nil {
-		return eg, nil
+	if len(dst.Values) != n || dst.Vectors == nil || dst.Vectors.Rows != n || dst.Vectors.Cols != n {
+		dst.Values = make([]float64, n)
+		dst.Vectors = New(n, n)
+	}
+	switch s {
+	case SolverJacobi:
+		return ws.eigenJacobi(dst, n)
+	case SolverQR:
+		return ws.eigenQL(dst, n)
+	}
+	if err := ws.eigenQL(dst, n); err == nil {
+		return nil
 	}
 	// eigenQL destroyed ws.w; rebuild it for the fallback.
 	if _, err := ws.prepare(a); err != nil {
+		return err
+	}
+	return ws.eigenJacobi(dst, n)
+}
+
+// decompose is Decompose into a fresh Eigen — the owned-result form
+// behind the EigenHermitian* entry points.
+func (ws *EigenWorkspace) decompose(a *Matrix, s Solver) (*Eigen, error) {
+	eg := &Eigen{}
+	if err := ws.Decompose(eg, a, s); err != nil {
 		return nil, err
 	}
-	return ws.eigenJacobi(n)
+	return eg, nil
+}
+
+// EigenHermitian is EigenHermitian reusing the workspace's scratch. The
+// returned Eigen owns its memory and stays valid across further calls.
+func (ws *EigenWorkspace) EigenHermitian(a *Matrix) (*Eigen, error) {
+	return ws.decompose(a, SolverAuto)
 }
 
 // EigenHermitianQR runs only the tridiagonal QL/QR solver, returning
 // ErrNoConverge instead of falling back. It exists so the solvers can be
 // A/B-compared (tests, dwatch-replay -eigensolver).
 func (ws *EigenWorkspace) EigenHermitianQR(a *Matrix) (*Eigen, error) {
-	n, err := ws.prepare(a)
-	if err != nil {
-		return nil, err
-	}
-	return ws.eigenQL(n)
+	return ws.decompose(a, SolverQR)
 }
 
 // EigenHermitianJacobi runs only the cyclic complex Jacobi solver.
 func (ws *EigenWorkspace) EigenHermitianJacobi(a *Matrix) (*Eigen, error) {
-	n, err := ws.prepare(a)
-	if err != nil {
-		return nil, err
-	}
-	return ws.eigenJacobi(n)
+	return ws.decompose(a, SolverJacobi)
 }
 
 // eigenJacobi diagonalizes the prepared ws.w with cyclic complex Jacobi
-// rotations, accumulating eigenvectors in ws.v.
-func (ws *EigenWorkspace) eigenJacobi(n int) (*Eigen, error) {
+// rotations, accumulating eigenvectors in ws.v, and sorts the result
+// into dst.
+func (ws *EigenWorkspace) eigenJacobi(dst *Eigen, n int) error {
 	w, v := ws.w, ws.v
 	const maxSweeps = 100
 	tol := 1e-14 * (1 + w.FrobNorm())
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		if offDiagWithin(w, tol) {
-			return ws.finishEigen(w, v), nil
+			ws.finishEigen(dst, w, v)
+			return nil
 		}
 		for p := 0; p < n-1; p++ {
 			for q := p + 1; q < n; q++ {
@@ -395,9 +453,10 @@ func (ws *EigenWorkspace) eigenJacobi(n int) (*Eigen, error) {
 	}
 	if offDiagWithin(w, 1e-8*(1+w.FrobNorm())) {
 		// Converged to a looser but still usable tolerance.
-		return ws.finishEigen(w, v), nil
+		ws.finishEigen(dst, w, v)
+		return nil
 	}
-	return nil, ErrNoConverge
+	return ErrNoConverge
 }
 
 // rotate applies the complex Jacobi rotation annihilating w[p][q],
@@ -476,18 +535,17 @@ func offDiagWithin(m *Matrix, tol float64) bool {
 	return true
 }
 
-func (ws *EigenWorkspace) finishEigen(w, v *Matrix) *Eigen {
+func (ws *EigenWorkspace) finishEigen(dst *Eigen, w, v *Matrix) {
 	n := w.Rows
 	for i := 0; i < n; i++ {
 		ws.vals[i] = real(w.At(i, i))
 	}
-	return ws.finishEigenVals(ws.vals, v)
+	ws.finishEigenVals(dst, ws.vals, v)
 }
 
 // finishEigenVals sorts (vals, columns of v) descending by eigenvalue
-// into a freshly allocated Eigen, so results never alias workspace
-// scratch and stay valid across further workspace calls.
-func (ws *EigenWorkspace) finishEigenVals(vals []float64, v *Matrix) *Eigen {
+// into dst (already sized n), so results never alias workspace scratch.
+func (ws *EigenWorkspace) finishEigenVals(dst *Eigen, vals []float64, v *Matrix) {
 	n := v.Rows
 	idx := ws.idx
 	for i := 0; i < n; i++ {
@@ -499,13 +557,10 @@ func (ws *EigenWorkspace) finishEigenVals(vals []float64, v *Matrix) *Eigen {
 			idx[j], idx[j-1] = idx[j-1], idx[j]
 		}
 	}
-	sorted := make([]float64, n)
-	vec := New(n, n)
 	for j, k := range idx {
-		sorted[j] = vals[k]
+		dst.Values[j] = vals[k]
 		for i := 0; i < n; i++ {
-			vec.Set(i, j, v.At(i, k))
+			dst.Vectors.Set(i, j, v.At(i, k))
 		}
 	}
-	return &Eigen{Values: sorted, Vectors: vec}
 }

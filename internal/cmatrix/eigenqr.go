@@ -25,11 +25,12 @@ import (
 // exactly that.
 
 // eigenQL diagonalizes the prepared ws.w (see EigenWorkspace.prepare),
-// leaving eigenvalues in ws.d and eigenvectors in the columns of ws.v.
-// ws.w is destroyed. Returns ErrNoConverge if any eigenvalue needs more
-// than 50 QL iterations, which does not happen for Hermitian input in
-// practice; EigenHermitian falls back to Jacobi in that case.
-func (ws *EigenWorkspace) eigenQL(n int) (*Eigen, error) {
+// leaving eigenvalues in ws.d and eigenvectors in the columns of ws.v,
+// then sorts them into dst. ws.w is destroyed. Returns ErrNoConverge if
+// any eigenvalue needs more than 50 QL iterations, which does not
+// happen for Hermitian input in practice; SolverAuto falls back to
+// Jacobi in that case.
+func (ws *EigenWorkspace) eigenQL(dst *Eigen, n int) error {
 	w, q := ws.w, ws.v
 	d, e := ws.d[:n], ws.e[:n]
 	hv, hp := ws.hv[:n], ws.hp[:n]
@@ -154,7 +155,7 @@ func (ws *EigenWorkspace) eigenQL(n int) (*Eigen, error) {
 			}
 			iter++
 			if iter > maxIter {
-				return nil, ErrNoConverge
+				return ErrNoConverge
 			}
 			// Wilkinson shift from the leading 2×2 of the block.
 			g := (d[l+1] - d[l]) / (2 * e[l])
@@ -199,5 +200,6 @@ func (ws *EigenWorkspace) eigenQL(n int) (*Eigen, error) {
 		}
 	}
 
-	return ws.finishEigenVals(d, q), nil
+	ws.finishEigenVals(dst, d, q)
+	return nil
 }

@@ -22,7 +22,6 @@ import (
 
 	"dwatch/internal/calib"
 	"dwatch/internal/channel"
-	"dwatch/internal/cmatrix"
 	"dwatch/internal/geom"
 	"dwatch/internal/loc"
 	"dwatch/internal/music"
@@ -431,23 +430,4 @@ func (s *System) BaselineSpectrum(readerID string, epc []byte) *pmusic.Spectrum 
 		return nil
 	}
 	return s.fuser.BaselineSpectrum(readerID, epc)
-}
-
-// RawSnapshotsToMatrix converts an LLRP snapshot payload back into the
-// matrix the pipeline consumes — the glue for network-fed deployments
-// (cmd/dwatchd).
-func RawSnapshotsToMatrix(snapshot [][]complex128) (*cmatrix.Matrix, error) {
-	rows := len(snapshot)
-	if rows == 0 {
-		return nil, errors.New("dwatch: empty snapshot")
-	}
-	cols := len(snapshot[0])
-	m := cmatrix.New(rows, cols)
-	for r, row := range snapshot {
-		if len(row) != cols {
-			return nil, errors.New("dwatch: ragged snapshot")
-		}
-		copy(m.Data[r*cols:(r+1)*cols], row)
-	}
-	return m, nil
 }

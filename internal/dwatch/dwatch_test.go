@@ -198,22 +198,6 @@ func TestNoCalibrationDegrades(t *testing.T) {
 	}
 }
 
-func TestRawSnapshotsToMatrix(t *testing.T) {
-	m, err := RawSnapshotsToMatrix([][]complex128{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows != 2 || m.Cols != 2 || m.At(1, 0) != 3 {
-		t.Errorf("matrix = %+v", m)
-	}
-	if _, err := RawSnapshotsToMatrix(nil); err == nil {
-		t.Error("empty must error")
-	}
-	if _, err := RawSnapshotsToMatrix([][]complex128{{1}, {1, 2}}); err == nil {
-		t.Error("ragged must error")
-	}
-}
-
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Snapshots != 10 || c.GridSize != 361 || c.CalibTags != 6 {

@@ -133,6 +133,10 @@ func AblationNormalization(opts Options) (*AblationNormalizationResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		mres, err := music.Compute(x, sc.arr, microMusicOpts)
+		if err != nil {
+			return nil, err
+		}
 		ratioAt := func(power []float64) float64 {
 			peaks := music.FindPeaks(sp.Angles, power, 0.001)
 			p0, ok0 := music.NearestPeak(peaks, sc.paths[0].AoA, pathMatchTol)
@@ -147,7 +151,7 @@ func AblationNormalization(opts Options) (*AblationNormalizationResult, error) {
 		// Without normalization: PB(θ)·B(θ) raw.
 		raw := make([]float64, len(sp.Angles))
 		for i := range raw {
-			raw[i] = sp.Beam[i] * sp.Music.Spectrum[i]
+			raw[i] = sp.Beam[i] * mres.Spectrum[i]
 		}
 		rwo := ratioAt(raw)
 		out.RatioErrWith += relErr(rw, trueRatio)

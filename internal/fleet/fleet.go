@@ -339,9 +339,10 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 		}
 	}
 
-	// Collection-time gauges. obs gauge funcs are additive and cannot
-	// be unregistered, so the closure reports zero once this *Env is no
-	// longer the registered owner of the label (Remove, then re-Add,
+	// Collection-time gauges, dropped with the env's label children on
+	// Remove. A collection racing that removal can still call a closure
+	// it loaded before the drop, so the closure reports zero once this
+	// *Env is no longer the registered owner of the label (a re-Add
 	// would otherwise double-count).
 	f.queueVec.Func(func() float64 {
 		if f.lookup(id) != e {
@@ -496,6 +497,7 @@ func (f *Fleet) teardownEnv(e *Env) {
 		if e.wal != nil {
 			e.wal.Close()
 		}
+		e.health.Close()
 	}
 	f.o.hub.Forget(e.id)
 }

@@ -4,16 +4,19 @@ import (
 	"context"
 	"errors"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"dwatch/internal/api"
 	"dwatch/internal/obs"
+	"dwatch/internal/pipeline"
 	"dwatch/internal/serve"
 	"dwatch/internal/sim"
 )
@@ -353,4 +356,88 @@ func TestRemoveDropsEnvMetricSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertNoEnvSeries(scrape(), "room-a")
+}
+
+// TestHandoffReleasesRemovedEnv: Remove/Add cycles of one WAL-backed
+// environment — a node handing it off and adopting it back — leave the
+// process-wide gauges reading only the live incarnation, and the
+// removed incarnations' pipelines become garbage.
+func TestHandoffReleasesRemovedEnv(t *testing.T) {
+	reg := obs.NewRegistry()
+	// The first incarnation's pipeline holds a logger nothing else
+	// references; its finalizer can run only once that pipeline is
+	// unreachable. (A finalizer on the pipeline itself would never run:
+	// the pipeline sits in reference cycles with its own assembler.)
+	collected := make(chan struct{})
+	incarnations := 0
+	f := New(WithObs(reg), WithWALRoot(t.TempDir()),
+		WithPipelineOptions(func(string) []pipeline.Option {
+			incarnations++
+			l := slog.New(slog.NewTextHandler(io.Discard, nil))
+			if incarnations == 1 {
+				runtime.SetFinalizer(l, func(*slog.Logger) { close(collected) })
+			}
+			return []pipeline.Option{pipeline.WithLogger(l)}
+		}))
+	defer f.Close()
+
+	if _, err := f.Add("room-a", tableCfg(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Simulate(context.Background(), "room-a", 1, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	const handoffs = 5
+	for i := 0; i < handoffs; i++ {
+		if err := f.Remove("room-a"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Add("room-a", tableCfg(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Add returns once the WAL is queued into the pipeline; the replay
+	// is done when its one online sequence has assembled, every report
+	// applied and every (reader, tag) pair tracked again.
+	live, _ := f.Env("room-a")
+	waitFor(t, "replayed sequence", func() bool {
+		st := live.Pipeline().Stats()
+		return st.SequencesAssembled == 1 && st.QueueDepth == 0
+	})
+	var tags int
+	for _, rh := range live.health.Snapshot().Readers {
+		tags += len(rh.Tags)
+	}
+	if pairs := len(live.Scenario().Readers) * live.Scenario().Cfg.Tags; tags != pairs {
+		t.Fatalf("live env tracks %d (reader, tag) pairs, want %d", tags, pairs)
+	}
+	ws := live.wal.Status()
+	st := live.Pipeline().Stats()
+	snap := reg.Snapshot()
+	for id, want := range map[string]float64{
+		"dwatch_wal_segments":               float64(ws.Segments),
+		"dwatch_wal_bytes":                  float64(ws.Bytes),
+		"dwatch_rf_tags_tracked":            float64(tags),
+		"dwatch_pipeline_queue_depth":       float64(st.QueueDepth),
+		"dwatch_pipeline_pending_sequences": float64(st.PendingSequences),
+	} {
+		if got := snap[id]; got != want {
+			t.Errorf("%s = %v after %d handoffs, want the live env's %v", id, got, handoffs, want)
+		}
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first incarnation's pipeline is still reachable after Remove")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }

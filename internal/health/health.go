@@ -154,6 +154,7 @@ type Monitor struct {
 	driftVec  *obs.GaugeVec
 	anomalies *obs.CounterVec
 	resVec    *obs.GaugeVec
+	dropTags  func() // detaches the tracked-tags gauge func (Close)
 }
 
 // New builds a Monitor. reg may be nil (no metric export; snapshots
@@ -172,9 +173,21 @@ func New(reg *obs.Registry, opts Options) *Monitor {
 		m.driftVec = reg.GaugeVec(metricDrift, "1 when a path's power has drifted beyond the ratio threshold.", "reader", "epc", "path")
 		m.anomalies = reg.CounterVec(metricAnomalies, "RF anomalies by kind (power_drift, new_path).", "reader", "kind")
 		m.resVec = reg.GaugeVec(metricResidual, "EWMA absolute peak-angle deviation from tracked paths.", "reader")
-		reg.GaugeFunc(metricTags, "Distinct (reader, tag) pairs tracked.", m.tagCount)
+		m.dropTags = reg.GaugeFunc(metricTags, "Distinct (reader, tag) pairs tracked.", m.tagCount)
 	}
 	return m
+}
+
+// Close detaches the monitor's collection-time gauge from the registry,
+// for a monitor that shuts down before the registry does (a removed
+// fleet environment): the registry then neither counts its tags nor
+// keeps it reachable. Its labeled series stay until their labels are
+// removed. Nil-safe and idempotent.
+func (m *Monitor) Close() {
+	if m == nil || m.dropTags == nil {
+		return
+	}
+	m.dropTags()
 }
 
 func (m *Monitor) tagCount() float64 {

@@ -1,6 +1,10 @@
 package music
 
-import "fmt"
+import (
+	"fmt"
+
+	"dwatch/internal/cmatrix"
+)
 
 // Eigensolver selects the Hermitian eigendecomposition backend for the
 // subspace stage. The solvers agree on eigenvalues to ~1e-12·‖R‖ and on
@@ -8,33 +12,20 @@ import "fmt"
 // depends on) wherever the signal/noise eigenvalue gap exists;
 // individual eigenvectors differ by per-column phase. The selector
 // exists for A/B comparison (dwatch-replay -eigensolver) — production
-// uses the default.
-type Eigensolver int
+// uses the default. It is cmatrix's backend selector, passed through.
+type Eigensolver = cmatrix.Solver
 
 const (
 	// EigenAuto (the default) runs tridiagonal QL/QR with an automatic
 	// Jacobi fallback on non-convergence — QR speed, Jacobi robustness.
-	EigenAuto Eigensolver = iota
+	EigenAuto = cmatrix.SolverAuto
 	// EigenQR runs only Householder tridiagonalization + implicit-shift
 	// QL/QR; non-convergence is an error.
-	EigenQR
+	EigenQR = cmatrix.SolverQR
 	// EigenJacobi runs only the classical cyclic complex Jacobi sweep —
 	// the pre-QR solver, retained as the A/B reference.
-	EigenJacobi
+	EigenJacobi = cmatrix.SolverJacobi
 )
-
-func (e Eigensolver) String() string {
-	switch e {
-	case EigenAuto:
-		return "auto"
-	case EigenQR:
-		return "qr"
-	case EigenJacobi:
-		return "jacobi"
-	default:
-		return fmt.Sprintf("Eigensolver(%d)", int(e))
-	}
-}
 
 // ParseEigensolver maps the flag spellings to a solver; "" and "auto"
 // both select the default.

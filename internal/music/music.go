@@ -149,16 +149,15 @@ func (o Options) withDefaults(m int) Options {
 
 // Compute runs MUSIC on an N×M snapshot matrix for the given array:
 // correlation, forward-backward smoothing, eigendecomposition, source
-// estimation and the pseudo-spectrum scan of Eq. 8.
+// estimation and the pseudo-spectrum scan of Eq. 8. It runs a fresh
+// Workspace, so the stateless and workspace entry points are one code
+// path; repeated callers should hold the Workspace instead.
 func Compute(x *cmatrix.Matrix, arr *rf.Array, opts Options) (*Result, error) {
-	if x.Cols != arr.Elements {
-		return nil, fmt.Errorf("%w: %d columns for %d-element array", ErrBadInput, x.Cols, arr.Elements)
-	}
-	r, err := Correlation(x)
+	ws, err := NewWorkspace(arr, opts)
 	if err != nil {
 		return nil, err
 	}
-	return ComputeFromCorrelation(r, arr, opts)
+	return ws.Compute(x)
 }
 
 // ComputeFromCorrelation runs the MUSIC stages after correlation; use it
@@ -176,15 +175,6 @@ func ComputeFromCorrelation(r *cmatrix.Matrix, arr *rf.Array, opts Options) (*Re
 	return ws.ComputeFromCorrelation(r)
 }
 
-// pseudoSpectrum evaluates 1 / (aᴴ·Uₙ·Uₙᴴ·a) for a steering vector a.
-func pseudoSpectrum(a []complex128, noise *cmatrix.Matrix) float64 {
-	denom := noiseProjection(a, noise)
-	if denom < 1e-18 {
-		denom = 1e-18
-	}
-	return 1 / denom
-}
-
 // ProjectionOntoNoise returns ‖a(θ)ᴴ·Uₙ‖² — the calibration objective's
 // per-tag term (Eq. 10) — for a steering vector already multiplied by
 // any phase-offset correction.
@@ -192,12 +182,11 @@ func ProjectionOntoNoise(a []complex128, noise *cmatrix.Matrix) float64 {
 	return noiseProjection(a, noise)
 }
 
-// noiseProjection computes ‖aᴴ·Uₙ‖² — the pseudo-spectrum grid's inner
-// kernel, evaluated once per scan angle, so it is written for the
-// scalar hot path: each column dot accumulates in a register with
-// direct strided indexing into the subspace data instead of At()
-// calls. The per-column summation order (ascending row) is unchanged,
-// so the result is bit-identical to the naive double loop.
+// noiseProjection computes ‖aᴴ·Uₙ‖²: each column dot accumulates in a
+// register over ascending rows with direct strided indexing into the
+// subspace data, and the squared norms over ascending columns — the
+// summation order the workspace's blocked scan (scanInto) keeps, so the
+// two agree bit for bit.
 func noiseProjection(a []complex128, noise *cmatrix.Matrix) float64 {
 	rows, q := noise.Rows, noise.Cols
 	data := noise.Data
@@ -226,8 +215,15 @@ type Peak struct {
 // times the global maximum, sorted by amplitude descending. Plateau tops
 // are reported once at their left edge.
 func FindPeaks(angles, spec []float64, minRatio float64) []Peak {
+	return AppendPeaks(nil, angles, spec, minRatio)
+}
+
+// AppendPeaks is FindPeaks appending to dst, so a caller that reuses
+// one scratch slice finds peaks without allocating. The appended peaks
+// are sorted among themselves.
+func AppendPeaks(dst []Peak, angles, spec []float64, minRatio float64) []Peak {
 	if len(spec) != len(angles) || len(spec) < 3 {
-		return nil
+		return dst
 	}
 	var max float64
 	for _, v := range spec {
@@ -236,9 +232,9 @@ func FindPeaks(angles, spec []float64, minRatio float64) []Peak {
 		}
 	}
 	if max <= 0 {
-		return nil
+		return dst
 	}
-	var peaks []Peak
+	start := len(dst)
 	for i := 1; i < len(spec)-1; i++ {
 		if spec[i] < spec[i-1] || spec[i] < minRatio*max {
 			continue
@@ -252,17 +248,18 @@ func FindPeaks(angles, spec []float64, minRatio float64) []Peak {
 			continue // ascending, not a peak
 		}
 		if spec[i] > spec[i-1] || (j+1 < len(spec) && spec[i] > spec[j+1]) {
-			peaks = append(peaks, Peak{Index: i, Angle: angles[i], Amplitude: spec[i]})
+			dst = append(dst, Peak{Index: i, Angle: angles[i], Amplitude: spec[i]})
 		}
 		i = j
 	}
 	// Sort by amplitude descending (insertion sort, tiny n).
+	peaks := dst[start:]
 	for i := 1; i < len(peaks); i++ {
 		for j := i; j > 0 && peaks[j].Amplitude > peaks[j-1].Amplitude; j-- {
 			peaks[j], peaks[j-1] = peaks[j-1], peaks[j]
 		}
 	}
-	return peaks
+	return dst
 }
 
 // NearestPeak returns the peak closest in angle to want, or ok=false if

@@ -1,12 +1,24 @@
 package music
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"dwatch/internal/cmatrix"
 	"dwatch/internal/rf"
 )
+
+// pseudoSpectrum is the one-angle reference for Eq. 8,
+// 1 / (aᴴ·Uₙ·Uₙᴴ·a), that the workspace's blocked scan must reproduce
+// bit for bit.
+func pseudoSpectrum(a []complex128, noise *cmatrix.Matrix) float64 {
+	denom := noiseProjection(a, noise)
+	if denom < 1e-18 {
+		denom = 1e-18
+	}
+	return 1 / denom
+}
 
 // preTableCompute replicates the pre-steering-table MUSIC pipeline from
 // primitives that did not change: it is the reference the cached path
@@ -169,5 +181,90 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 16 {
 		t.Errorf("steady-state Workspace.Compute allocates %.0f times per run, want ≤16", allocs)
+	}
+}
+
+// TestBlockedScanMatchesPseudoSpectrum pins the two-angle scan to the
+// one-angle reference with exact equality: every noise-subspace
+// dimension from 1 to L−1, an even and an odd grid (the odd one ends
+// on a pass that evaluates its last angle twice), and every eigensolver
+// setting.
+func TestBlockedScanMatchesPseudoSpectrum(t *testing.T) {
+	arr := testArray(t, 8)
+	rng := rand.New(rand.NewSource(23))
+	x := synthSnapshots(arr, []float64{0.7, 1.9, 2.5}, []float64{1, 0.6, 0.4}, 24, 0.05, true, rng)
+	for _, solver := range []Eigensolver{EigenAuto, EigenQR, EigenJacobi} {
+		for _, grid := range []int{180, 181} {
+			for _, base := range []Options{{}, {Subarray: 4}, {NoSmoothing: true}} {
+				ws, err := NewWorkspace(arr, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := ws.opts.Subarray
+				for q := 1; q < l; q++ {
+					opts := base
+					opts.GridSize, opts.Eigensolver, opts.Sources = grid, solver, l-q
+					ws, err := NewWorkspace(arr, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := ws.Compute(x)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Noise.Rows != l || res.Noise.Cols != q {
+						t.Fatalf("%v grid=%d L=%d: noise %dx%d, want %dx%d",
+							solver, grid, l, res.Noise.Rows, res.Noise.Cols, l, q)
+					}
+					for i, th := range res.Angles {
+						want := pseudoSpectrum(arr.SteeringSub(th, l), res.Noise)
+						if res.Spectrum[i] != want {
+							t.Fatalf("%v grid=%d L=%d Q=%d: spectrum[%d] = %v, want %v",
+								solver, grid, l, q, i, res.Spectrum[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScanMatchesComputeWithoutAllocating: Scan is the same scan as
+// Compute, straight from snapshot rows, and allocates nothing once
+// warm.
+func TestScanMatchesComputeWithoutAllocating(t *testing.T) {
+	arr := testArray(t, 8)
+	rng := rand.New(rand.NewSource(31))
+	x := synthSnapshots(arr, []float64{1.1, 2.3}, []float64{1, 0.5}, 20, 0.05, true, rng)
+	ws, err := NewWorkspace(arr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ws.Compute(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := x.RowViews()
+	spec, err := ws.Scan(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Spectrum {
+		if spec[i] != want.Spectrum[i] {
+			t.Fatalf("Scan[%d] = %v, Compute %v", i, spec[i], want.Spectrum[i])
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := ws.Scan(rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Scan allocates %.0f times per run, want 0", allocs)
+	}
+	for _, bad := range [][][]complex128{nil, {}, {make([]complex128, 7)}, {make([]complex128, 8), make([]complex128, 9)}} {
+		if _, err := ws.Scan(bad); !errors.Is(err, ErrBadInput) {
+			t.Errorf("Scan(%d rows) = %v, want ErrBadInput", len(bad), err)
+		}
 	}
 }

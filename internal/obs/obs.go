@@ -154,9 +154,10 @@ func (h *Histogram) Buckets() stats.Buckets {
 }
 
 // gfnList is the set of collection-time value funcs attached to one
-// gauge child. Held behind an atomic pointer so registration (rare)
-// never races collection (frequent) without a per-sample lock.
-type gfnList []func() float64
+// gauge child, each held by pointer so it can be detached again. Held
+// behind an atomic pointer so registration (rare) never races
+// collection (frequent) without a per-sample lock.
+type gfnList []*func() float64
 
 // child is one (label values → metric) instance inside a family.
 type child struct {
@@ -167,16 +168,37 @@ type child struct {
 	h      *Histogram
 }
 
-// addGaugeFunc attaches fn to the child's collection-time funcs.
-func (ch *child) addGaugeFunc(fn func() float64) {
+// addGaugeFunc attaches fn to the child's collection-time funcs and
+// returns the handle removeGaugeFunc detaches it by.
+func (ch *child) addGaugeFunc(fn func() float64) *func() float64 {
+	h := &fn
 	for {
 		old := ch.gfns.Load()
 		var next gfnList
 		if old != nil {
 			next = append(next, *old...)
 		}
-		next = append(next, fn)
+		next = append(next, h)
 		if ch.gfns.CompareAndSwap(old, &next) {
+			return h
+		}
+	}
+}
+
+// removeGaugeFunc detaches the func behind h; a no-op once detached.
+func (ch *child) removeGaugeFunc(h *func() float64) {
+	for {
+		old := ch.gfns.Load()
+		if old == nil {
+			return
+		}
+		next := make(gfnList, 0, len(*old))
+		for _, f := range *old {
+			if f != h {
+				next = append(next, f)
+			}
+		}
+		if len(next) == len(*old) || ch.gfns.CompareAndSwap(old, &next) {
 			return
 		}
 	}
@@ -191,7 +213,7 @@ func (ch *child) gaugeValue() float64 {
 	}
 	var v float64
 	for _, fn := range *fns {
-		v += fn()
+		v += (*fn)()
 	}
 	return v
 }
@@ -363,13 +385,18 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 // again *adds* another func: collection reports the sum, so N
 // identical subsystems sharing one registry (a fleet of per-env
 // pipelines, say) expose a meaningful aggregate instead of whichever
-// registration happened last.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+// registration happened last. The returned func detaches fn again
+// (idempotent): an owner that shuts down before the registry calls it,
+// so the sum stops counting the owner and the registry stops holding
+// it reachable.
+func (r *Registry) GaugeFunc(name, help string, fn func() float64) (remove func()) {
 	f := r.family(name, help, KindGauge, nil, nil)
 	if f == nil {
-		return
+		return func() {}
 	}
-	f.childFor(nil).addGaugeFunc(fn)
+	ch := f.childFor(nil)
+	h := ch.addGaugeFunc(fn)
+	return func() { ch.removeGaugeFunc(h) }
 }
 
 // Histogram registers (idempotently) an unlabeled histogram with the

@@ -36,13 +36,23 @@ func (r *Registry) StartSpan(stage string) Span {
 // fake-clock tests, or stages whose start predates the call, like
 // sequence assembly that begins when the first report arrives).
 func (r *Registry) StartSpanAt(stage string, start time.Time) Span {
-	sp := Span{start: start}
-	if r != nil {
-		sp.h = r.HistogramVec(SpanFamily,
-			"Per-stage processing latency in seconds.",
-			stats.LatencyBounds(), "stage").With(stage)
-	}
-	return sp
+	return r.StageHistogram(stage).SpanAt(start)
+}
+
+// StageHistogram resolves the SpanFamily histogram for one stage — the
+// lookup StartSpanAt repeats on every call, under the registry lock.
+// Hot paths resolve it once and start their spans with SpanAt. Nil on a
+// nil registry.
+func (r *Registry) StageHistogram(stage string) *Histogram {
+	return r.HistogramVec(SpanFamily,
+		"Per-stage processing latency in seconds.",
+		stats.LatencyBounds(), "stage").With(stage)
+}
+
+// SpanAt begins timing a span recorded into h from an explicit start
+// time. On a nil h the span still measures but records nothing.
+func (h *Histogram) SpanAt(start time.Time) Span {
+	return Span{h: h, start: start}
 }
 
 // End records the span against the wall clock and returns the elapsed

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,8 +71,8 @@ type assembler struct {
 
 	// pending counts sequences mid-assembly across all shards — the
 	// only assembler state Stats reads, and the cap gate for
-	// MaxPendingSeqs (enforced globally, evict-before-insert, so the
-	// count never exceeds the cap).
+	// MaxPendingSeqs. A new group's slot is reserved by CAS before it
+	// is inserted (see reserve), so the count never exceeds the cap.
 	pending atomic.Int64
 
 	// baselineApplied counts baseline-round reports applied per
@@ -275,9 +276,9 @@ func sweepInterval(ttl time.Duration) time.Duration {
 
 // accept folds one online report into its sequence group and fuses the
 // group once complete. Only this shard creates groups for its
-// sequences, so the unlocked existence probe cannot race an insert —
-// the lock is dropped around cap eviction to keep the cross-shard scan
-// free of nested shard locks.
+// sequences, so the unlocked existence probe cannot race an insert; a
+// new group's pending slot is reserved before the lock is retaken, so
+// the cross-shard cap eviction never runs under a shard lock.
 func (s *shard) accept(g *report) {
 	a := s.a
 	s.mu.Lock()
@@ -290,15 +291,16 @@ func (s *shard) accept(g *report) {
 		return
 	}
 	if !exists {
-		// Evict-before-insert: make room while the global pending
-		// count sits at the cap, so it never exceeds MaxPendingSeqs.
-		a.evictForCap()
+		a.reserve()
 	}
 	s.mu.Lock()
 	if _, dup := s.done[g.seq]; dup {
 		// A cap eviction driven from another shard can have evicted
 		// g.seq's existing group while the lock was dropped — recheck.
 		s.mu.Unlock()
+		if !exists {
+			a.pending.Add(-1)
+		}
 		a.p.c.lateReports.Add(1)
 		a.p.ins.lateReport()
 		return
@@ -307,7 +309,6 @@ func (s *shard) accept(g *report) {
 	if grp == nil {
 		grp = &seqGroup{byReader: map[string]map[string]*pmusic.Spectrum{}, created: a.p.now()}
 		s.online[g.seq] = grp
-		a.pending.Add(1)
 	}
 	grp.byReader[g.reader] = g.spectra
 	ready, degraded := s.takeIfReady(g.seq, grp)
@@ -565,31 +566,53 @@ func (s *shard) sweep(now time.Time) int {
 	return len(evs)
 }
 
-// evictForCap evicts globally-oldest pending groups while the pending
-// count sits at MaxPendingSeqs — the memory backstop when a reader
-// dies and TTL has not fired yet. Shards are scanned one at a time
-// (never two shard locks at once), so there is no lock ordering to
-// violate; losing a race to a concurrent fuse just means re-scanning.
-func (a *assembler) evictForCap() {
-	for int(a.pending.Load()) >= a.p.cfg.MaxPendingSeqs {
-		var victim *shard
-		var vseq uint32
-		var vt time.Time
-		found := false
-		for _, s := range a.shards {
-			s.mu.Lock()
-			for seq, grp := range s.online {
-				if !found || grp.created.Before(vt) {
-					victim, vseq, vt, found = s, seq, grp.created, true
-				}
+// reserve claims one pending slot for a new sequence group. The
+// compare-and-swap makes the cap check and the increment one step, so
+// shards admitting sequences at once cannot both take the last slot;
+// while the count sits at MaxPendingSeqs the globally oldest group is
+// evicted first — the memory backstop when a reader dies and TTL has
+// not fired yet.
+func (a *assembler) reserve() {
+	limit := int64(a.p.cfg.MaxPendingSeqs)
+	for {
+		n := a.pending.Load()
+		if n < limit {
+			if a.pending.CompareAndSwap(n, n+1) {
+				return
 			}
-			s.mu.Unlock()
+			continue
 		}
-		if !found {
-			return
+		if !a.evictOldest() {
+			// Every counted slot is another shard's reservation that
+			// has not inserted its group yet; let it finish.
+			runtime.Gosched()
 		}
-		victim.evictCap(vseq)
 	}
+}
+
+// evictOldest evicts the globally oldest pending group and reports
+// whether it found one. Shards are scanned one at a time (never two
+// shard locks at once), so there is no lock ordering to violate; a
+// group that fuses between the scan and the eviction just means the
+// caller re-checks the count.
+func (a *assembler) evictOldest() bool {
+	var victim *shard
+	var vseq uint32
+	var vt time.Time
+	for _, s := range a.shards {
+		s.mu.Lock()
+		for seq, grp := range s.online {
+			if victim == nil || grp.created.Before(vt) {
+				victim, vseq, vt = s, seq, grp.created
+			}
+		}
+		s.mu.Unlock()
+	}
+	if victim == nil {
+		return false
+	}
+	victim.evictCap(vseq)
+	return true
 }
 
 // evictCap removes one group by sequence for the pending-cap backstop;

@@ -7,6 +7,7 @@ import (
 
 	"dwatch/internal/calib"
 	"dwatch/internal/channel"
+	"dwatch/internal/cmatrix"
 	"dwatch/internal/dwatch"
 	"dwatch/internal/geom"
 	"dwatch/internal/llrp"
@@ -75,7 +76,7 @@ func syncFixes(tb testing.TB, sc *sim.Scenario, reports []*llrp.ROAccessReport) 
 		arr := arrays[rep.ReaderID]
 		spectra := map[string]*pmusic.Spectrum{}
 		for _, tr := range rep.Reports {
-			x, err := dwatch.RawSnapshotsToMatrix(tr.Snapshot)
+			x, err := cmatrix.FromRows(tr.Snapshot)
 			if err != nil {
 				continue
 			}

@@ -36,14 +36,20 @@ const (
 
 // instruments mirrors the pipeline's atomic counters onto an
 // obs.Registry so a live deployment exposes them incrementally instead
-// of only via end-of-run Stats dumps. All labeled children are
-// resolved once at construction (the reader set is fixed for the
-// pipeline's lifetime), so steady-state increments are single atomics
+// of only via end-of-run Stats dumps. All labeled children — the stage
+// span histograms included — are resolved once at construction (the
+// reader set is fixed for the pipeline's lifetime), so steady-state
+// increments and spans are single atomics or one short histogram lock,
 // with no registry locking. A nil *instruments (no registry attached)
 // makes every method a no-op — the uninstrumented hot path pays one
 // nil check per site.
 type instruments struct {
 	reg *obs.Registry
+
+	stages map[string]*obs.Histogram // obs.SpanFamily child by stage
+	// dropGauges detaches the collection-time gauge funcs, which would
+	// otherwise keep the pipeline reachable from the registry.
+	dropGauges []func()
 
 	reports   map[string]*obs.Counter // by reader ID
 	rejected  *obs.Counter
@@ -71,8 +77,12 @@ func newInstruments(reg *obs.Registry, p *Pipeline) *instruments {
 	}
 	in := &instruments{
 		reg:       reg,
+		stages:    map[string]*obs.Histogram{},
 		reports:   map[string]*obs.Counter{},
 		baselines: map[string]*obs.Counter{},
+	}
+	for _, stage := range []string{stageIngest, stageSpectrum, stageAssemble, stageFuse} {
+		in.stages[stage] = reg.StageHistogram(stage)
 	}
 	reports := reg.CounterVec(metricReports, "Reports accepted from known readers.", "reader")
 	baselines := reg.CounterVec(metricBaselines, "Baseline confirmations per reader.", "reader")
@@ -94,22 +104,36 @@ func newInstruments(reg *obs.Registry, p *Pipeline) *instruments {
 	in.fixOK = fixes.With("fix")
 	in.fixDegraded = fixes.With("degraded")
 	in.fixMiss = fixes.With("miss")
-	reg.GaugeFunc(metricQueueDepth, "Instantaneous report-queue occupancy.",
-		func() float64 { return float64(len(p.jobs)) })
-	reg.GaugeFunc(metricPendingSeqs, "Sequences currently mid-assembly.",
-		func() float64 { return float64(p.asm.pendingSequences()) })
+	in.dropGauges = []func(){
+		reg.GaugeFunc(metricQueueDepth, "Instantaneous report-queue occupancy.",
+			func() float64 { return float64(len(p.jobs)) }),
+		reg.GaugeFunc(metricPendingSeqs, "Sequences currently mid-assembly.",
+			func() float64 { return float64(p.asm.pendingSequences()) }),
+	}
 	return in
 }
 
-// span starts a stage span on the shared obs.SpanFamily histogram. On
+// close detaches the pipeline's gauge funcs from the registry once the
+// pipeline has shut down, so a registry that outlives it (a fleet
+// removing an environment) neither sums its gauges nor keeps it alive.
+func (in *instruments) close() {
+	if in == nil {
+		return
+	}
+	for _, drop := range in.dropGauges {
+		drop()
+	}
+}
+
+// span starts a stage span on the stage's obs.SpanFamily histogram. On
 // a nil receiver the span still measures (EndAt returns the elapsed
 // time) but records nothing, so call sites can reuse its duration for
 // the legacy Stats digests unconditionally.
 func (in *instruments) span(stage string, start time.Time) obs.Span {
 	if in == nil {
-		return (*obs.Registry)(nil).StartSpanAt(stage, start)
+		return (*obs.Histogram)(nil).SpanAt(start)
 	}
-	return in.reg.StartSpanAt(stage, start)
+	return in.stages[stage].SpanAt(start)
 }
 
 func (in *instruments) reportAccepted(reader string) {

@@ -284,10 +284,9 @@ type Pipeline struct {
 	fuseHist   *stats.Histogram
 
 	// compute and now are test seams. compute is nil in production:
-	// each worker then decodes and runs P-MUSIC through its own
-	// reusable per-array pmusic.Workspace (bit-identical to
-	// pmusic.Compute, without the per-snapshot steering and scratch
-	// allocations).
+	// each worker then runs P-MUSIC straight from the decoded snapshot
+	// rows through its own reusable per-array pmusic.Workspace
+	// (bit-identical to pmusic.Compute, allocating only the result).
 	compute func(snap [][]complex128, arr *rf.Array, opts pmusic.Options) (*pmusic.Spectrum, error)
 	now     func() time.Time
 
@@ -488,12 +487,12 @@ func (p *Pipeline) enqueue(j job) error {
 	}
 }
 
-// worker is one spectrum-pool goroutine: it decodes and runs P-MUSIC
-// for every tag of a report job, then hands the completed report to
-// the reader's round sequencer. Each worker owns one pmusic.Workspace
-// per array geometry, so the correlation/smoothing/eigensolver scratch
-// is reused across every snapshot it processes while the steering
-// tables stay shared and read-only.
+// worker is one spectrum-pool goroutine: it runs P-MUSIC for every tag
+// of a report job, then hands the completed report to the reader's
+// round sequencer. Each worker owns one pmusic.Workspace per array
+// geometry, so every scratch stage of the spectrum is reused across the
+// snapshots it processes while the steering tables stay shared and
+// read-only.
 func (p *Pipeline) worker() {
 	defer p.workerWG.Done()
 	ws := map[*rf.Array]*pmusic.Workspace{}
@@ -543,18 +542,15 @@ func (p *Pipeline) computeSnapshot(ws map[*rf.Array]*pmusic.Workspace, arr *rf.A
 	if p.compute != nil {
 		return p.compute(snap, arr, p.cfg.PMusic)
 	}
-	x, err := dwatch.RawSnapshotsToMatrix(snap)
-	if err != nil {
-		return nil, err
-	}
 	w := ws[arr]
 	if w == nil {
+		var err error
 		if w, err = pmusic.NewWorkspace(arr, p.cfg.PMusic); err != nil {
 			return nil, err
 		}
 		ws[arr] = w
 	}
-	return w.Compute(x)
+	return w.Compute(snap)
 }
 
 // teardown runs the ordered shutdown exactly once: stop the intake,
@@ -571,6 +567,7 @@ func (p *Pipeline) teardown() {
 		p.asm.shardWG.Wait()
 		close(p.asm.shardsStopped)
 		close(p.fixes)
+		p.ins.close()
 	})
 }
 
@@ -595,6 +592,8 @@ func (p *Pipeline) Close() {
 		p.markClosed()
 		if p.started.Load() {
 			p.teardown()
+		} else {
+			p.ins.close()
 		}
 	})
 }

@@ -328,6 +328,35 @@ func TestDeadReaderBoundedMemory(t *testing.T) {
 	}
 }
 
+// TestBadSnapshotsCountAsFailedSpectra: snapshots the spectrum stage
+// cannot use — a 0×0 one, one narrower than the reader's array, and a
+// ragged one — fail on the production compute path (no test seam),
+// each counted in SpectraFailed, and the pipeline keeps running.
+func TestBadSnapshotsCountAsFailedSpectra(t *testing.T) {
+	cfg, sc := testConfig(t)
+	p, err := newFromConfig(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	wait := drainFixes(p)
+	rd := sc.Readers[0]
+	m := rd.Array.Elements
+	rep := &llrp.ROAccessReport{ReaderID: rd.ID, Seq: 1, Reports: []llrp.TagReport{
+		{EPC: []byte("empty"), Snapshot: [][]complex128{}},
+		{EPC: []byte("narrow"), Snapshot: [][]complex128{make([]complex128, m-1), make([]complex128, m-1)}},
+		{EPC: []byte("ragged"), Snapshot: [][]complex128{make([]complex128, m), make([]complex128, m+1)}},
+	}}
+	if err := p.Ingest(rep); err != nil {
+		t.Fatal(err)
+	}
+	p.Drain()
+	wait()
+	if st := p.Stats(); st.SpectraFailed != 3 || st.SpectraComputed != 0 {
+		t.Fatalf("spectra failed/computed = %d/%d, want 3/0", st.SpectraFailed, st.SpectraComputed)
+	}
+}
+
 // TestCloseAborts: Close unblocks a parked pipeline without waiting
 // for in-flight work.
 func TestCloseAborts(t *testing.T) {

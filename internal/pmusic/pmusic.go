@@ -50,12 +50,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Spectrum is a P-MUSIC AoA/power spectrum.
+// Spectrum is a P-MUSIC AoA/power spectrum. It is read-only once
+// computed: Power and Beam share one backing array, and Angles aliases
+// the shared scan grid.
 type Spectrum struct {
 	Angles []float64 // scan grid, radians
 	Power  []float64 // Ω(θ): per-direction signal power estimate
 	Beam   []float64 // PB(θ): raw beamformed power (Eq. 13)
-	Music  *music.Result
 }
 
 // BeamPower computes PB(θ) of Eq. 13 averaged over snapshots:
@@ -197,7 +198,13 @@ func Normalize(angles, spec []float64, peakRatio float64) []float64 {
 // NormalizeInto is Normalize writing into out (len(spec)); every entry
 // of out is overwritten, so a reused scratch slice needs no clearing.
 func NormalizeInto(out, angles, spec []float64, peakRatio float64) {
-	peaks := music.FindPeaks(angles, spec, peakRatio)
+	normalizeInto(out, nil, angles, spec, peakRatio)
+}
+
+// normalizeInto is NormalizeInto finding the peaks in the peaks
+// scratch slice, which it returns for reuse.
+func normalizeInto(out []float64, peaks []music.Peak, angles, spec []float64, peakRatio float64) []music.Peak {
+	peaks = music.AppendPeaks(peaks[:0], angles, spec, peakRatio)
 	if len(peaks) == 0 {
 		var max float64
 		for _, v := range spec {
@@ -211,49 +218,43 @@ func NormalizeInto(out, angles, spec []float64, peakRatio float64) {
 		for i, v := range spec {
 			out[i] = v / max
 		}
-		return
+		return peaks
 	}
 	// Order peaks by grid index.
-	idx := make([]int, len(peaks))
-	amp := make([]float64, len(peaks))
-	for i, p := range peaks {
-		idx[i] = p.Index
-		amp[i] = p.Amplitude
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-			amp[j], amp[j-1] = amp[j-1], amp[j]
+	for i := 1; i < len(peaks); i++ {
+		for j := i; j > 0 && peaks[j].Index < peaks[j-1].Index; j-- {
+			peaks[j], peaks[j-1] = peaks[j-1], peaks[j]
 		}
 	}
-	// Segment boundaries: the minimum between consecutive peaks.
-	bounds := make([]int, 0, len(idx)+1)
-	bounds = append(bounds, 0)
-	for i := 1; i < len(idx); i++ {
-		lo, hi := idx[i-1], idx[i]
-		minJ := lo
-		for j := lo; j <= hi; j++ {
-			if spec[j] < spec[minJ] {
-				minJ = j
+	// Each peak's segment runs from the previous segment's end to the
+	// minimum between it and the next peak (the last one to the end of
+	// the spectrum) and is divided by that peak's amplitude.
+	start := 0
+	for i, pk := range peaks {
+		end := len(spec)
+		if i+1 < len(peaks) {
+			end = pk.Index
+			for j := pk.Index; j <= peaks[i+1].Index; j++ {
+				if spec[j] < spec[end] {
+					end = j
+				}
 			}
 		}
-		bounds = append(bounds, minJ)
-	}
-	bounds = append(bounds, len(spec))
-	for seg := 0; seg < len(idx); seg++ {
-		den := amp[seg]
+		den := pk.Amplitude
 		if den <= 0 {
 			den = 1
 		}
-		for j := bounds[seg]; j < bounds[seg+1]; j++ {
+		for j := start; j < end; j++ {
 			out[j] = spec[j] / den
 		}
+		start = end
 	}
+	return peaks
 }
 
 // Compute runs the full P-MUSIC pipeline of Eq. 14 on an N×M snapshot
-// matrix. It delegates to a fresh Workspace so the stateless and
-// workspace entry points stay bit-identical by construction — including
+// matrix. It passes the matrix's row views to a fresh Workspace, so the
+// stateless and workspace entry points are one code path — including
 // the correlation-domain beamformer (see Workspace.Compute). BeamPower
 // remains the time-domain Eq. 13 reference; Spectrum.Beam agrees with
 // it to floating-point association order.
@@ -262,7 +263,7 @@ func Compute(x *cmatrix.Matrix, arr *rf.Array, opts Options) (*Spectrum, error) 
 	if err != nil {
 		return nil, err
 	}
-	return ws.Compute(x)
+	return ws.Compute(x.RowViews())
 }
 
 // Peaks returns the path peaks of the P-MUSIC power spectrum.

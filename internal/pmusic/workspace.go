@@ -1,24 +1,25 @@
 package pmusic
 
 import (
-	"dwatch/internal/cmatrix"
 	"dwatch/internal/music"
 	"dwatch/internal/rf"
 )
 
 // Workspace is the reusable per-worker state for repeated P-MUSIC runs
 // against one array with fixed options. It wraps a music.Workspace (so
-// the subspace stage reuses its correlation/smoothing/Jacobi scratch
-// and the shared steering table) and adds the beamformer/normalization
+// the subspace stage reuses its correlation, smoothing,
+// eigendecomposition, noise-subspace and pseudo-spectrum scratch and
+// the shared steering table) and adds the peak and normalization
 // scratch of the power stage. The returned Spectrum owns its memory —
 // its Angles alias the immutable shared grid — and may be retained by
 // callers (baselines, sequence groups) across further workspace calls.
 //
 // Not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
-	opts Options
-	mw   *music.Workspace
-	nor  []float64 // normalization scratch, fully overwritten per run
+	opts  Options
+	mw    *music.Workspace
+	nor   []float64    // normalization scratch, fully overwritten per run
+	peaks []music.Peak // peak-finding scratch
 }
 
 // NewWorkspace resolves the options and builds the underlying MUSIC
@@ -36,28 +37,30 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 	}, nil
 }
 
-// Compute runs the full P-MUSIC pipeline of Eq. 14 on an N×M snapshot
-// matrix — bit-identical to the package-level Compute, with the
-// steady-state allocations reduced to the escaping Spectrum.
+// Compute runs the full P-MUSIC pipeline of Eq. 14 on N snapshot rows
+// of M samples each — the decoded llrp.TagReport.Snapshot form,
+// correlated in place without a matrix copy. Every stage runs in the
+// workspace's scratch; the only allocations are the returned Spectrum
+// and the one array its Power and Beam share.
 //
 // The beamformer stage evaluates Eq. 13 in the correlation domain
 // (PB = aᴴ·R̂·a / M², see beamPowerCorr), reusing the correlation
 // matrix the subspace stage just accumulated instead of re-scanning the
 // snapshots — the same value up to floating-point association, ~3-4×
 // cheaper per angle at production snapshot counts.
-func (w *Workspace) Compute(x *cmatrix.Matrix) (*Spectrum, error) {
-	mres, err := w.mw.Compute(x)
+func (w *Workspace) Compute(rows [][]complex128) (*Spectrum, error) {
+	spec, err := w.mw.Scan(rows)
 	if err != nil {
 		return nil, err
 	}
-	beam := make([]float64, len(mres.Angles))
-	// x's shape was validated by the subspace stage; the table's weight
-	// rows span the full array, matching the correlation dimension.
-	beamPowerCorr(beam, w.mw.Correlation(), w.mw.Table())
-	NormalizeInto(w.nor, mres.Angles, mres.Spectrum, w.opts.PeakRatio)
-	power := make([]float64, len(beam))
+	tab := w.mw.Table()
+	n := len(spec)
+	buf := make([]float64, 2*n)
+	power, beam := buf[:n:n], buf[n:]
+	beamPowerCorr(beam, w.mw.Correlation(), tab)
+	w.peaks = normalizeInto(w.nor, w.peaks, tab.Angles, spec, w.opts.PeakRatio)
 	for i := range power {
 		power[i] = beam[i] * w.nor[i]
 	}
-	return &Spectrum{Angles: mres.Angles, Power: power, Beam: beam, Music: mres}, nil
+	return &Spectrum{Angles: tab.Angles, Power: power, Beam: beam}, nil
 }

@@ -19,7 +19,8 @@ import (
 )
 
 // SteeringTable holds the steering vectors and conjugate beamforming
-// weights of one array over one angle grid. Steering rows are truncated
+// weights of one array over one angle grid. Steering rows (and their
+// conjugates, which the MUSIC scan's aᴴ·Uₙ products read) are truncated
 // to the subarray length the spatially smoothed MUSIC scan needs;
 // weight rows span the full array for the Eq. 13 beamformer. The table
 // is read-only after construction.
@@ -29,6 +30,7 @@ type SteeringTable struct {
 	Angles   []float64 // AngleGrid(n); shared — callers must not mutate
 
 	steer   []complex128 // len(Angles)×Sub, row-major: a(θᵢ) truncated to L
+	conj    []complex128 // len(Angles)×Sub, row-major: conj(a(θᵢ))
 	weights []complex128 // len(Angles)×M, row-major: e^{+jω(m,θᵢ)}
 }
 
@@ -46,12 +48,15 @@ func NewSteeringTable(arr *Array, gridSize, sub int) (*SteeringTable, error) {
 		Sub:      sub,
 		Angles:   angles,
 		steer:    make([]complex128, len(angles)*sub),
+		conj:     make([]complex128, len(angles)*sub),
 		weights:  make([]complex128, len(angles)*arr.Elements),
 	}
 	for i, th := range angles {
 		sr := t.steer[i*sub : (i+1)*sub]
+		cr := t.conj[i*sub : (i+1)*sub]
 		for m := range sr {
 			sr[m] = cmplx.Exp(complex(0, -arr.Omega(m, th)))
+			cr[m] = cmplx.Conj(sr[m])
 		}
 		wr := t.weights[i*arr.Elements : (i+1)*arr.Elements]
 		for m := range wr {
@@ -69,6 +74,13 @@ func (t *SteeringTable) Len() int { return len(t.Angles) }
 // table and must not be modified.
 func (t *SteeringTable) Steering(i int) []complex128 {
 	return t.steer[i*t.Sub : (i+1)*t.Sub]
+}
+
+// ConjSteering returns conj(Steering(i)), stored once so the MUSIC
+// scan's aᴴ·Uₙ inner products multiply without conjugating per term.
+// The slice aliases the table and must not be modified.
+func (t *SteeringTable) ConjSteering(i int) []complex128 {
+	return t.conj[i*t.Sub : (i+1)*t.Sub]
 }
 
 // Weights returns the full-array beamforming weights e^{+jω(m,θᵢ)} at

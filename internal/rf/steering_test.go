@@ -28,9 +28,13 @@ func TestSteeringTableMatchesSteeringSub(t *testing.T) {
 		if len(got) != 5 {
 			t.Fatalf("steering row %d: len = %d", i, len(got))
 		}
+		conj := tab.ConjSteering(i)
 		for m := range want {
 			if got[m] != want[m] {
 				t.Fatalf("steering[%d][%d] = %v, want %v", i, m, got[m], want[m])
+			}
+			if conj[m] != cmplx.Conj(want[m]) {
+				t.Fatalf("conj steering[%d][%d] = %v, want %v", i, m, conj[m], cmplx.Conj(want[m]))
 			}
 		}
 		w := tab.Weights(i)

@@ -46,16 +46,20 @@ func NewHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// LatencyBounds is an exponential layout from 1 µs to ~10 s expressed
-// in seconds, suitable for NewHistogram when observing durations via
-// ObserveDuration.
-func LatencyBounds() []float64 {
+// latencyBounds is the LatencyBounds layout, built once.
+var latencyBounds = func() []float64 {
 	var b []float64
 	for v := 1e-6; v < 10; v *= 2 {
 		b = append(b, v)
 	}
 	return b
-}
+}()
+
+// LatencyBounds is an exponential layout from 1 µs to ~10 s expressed
+// in seconds, suitable for NewHistogram when observing durations via
+// ObserveDuration. The slice is shared and must not be modified;
+// NewHistogram and the obs registry copy it.
+func LatencyBounds() []float64 { return latencyBounds }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {

@@ -19,6 +19,9 @@ type instruments struct {
 	deletes       *obs.Counter
 	recovered     *obs.Counter
 	truncated     *obs.Counter
+	// dropGauges detaches the segment/byte gauge funcs on Close, so a
+	// registry that outlives the WAL neither sums it nor keeps it alive.
+	dropGauges []func()
 }
 
 // newInstruments registers the dwatch_wal_* families and seeds the
@@ -48,15 +51,27 @@ func newInstruments(reg *obs.Registry, w *WAL) *instruments {
 	}
 	ins.recovered.Add(uint64(w.recovered))
 	ins.truncated.Add(uint64(w.truncatedBytes))
-	reg.GaugeFunc("dwatch_wal_segments",
-		"WAL segment files currently on disk.", func() float64 {
-			return float64(w.Status().Segments)
-		})
-	reg.GaugeFunc("dwatch_wal_bytes",
-		"Total WAL bytes currently on disk.", func() float64 {
-			return float64(w.Status().Bytes)
-		})
+	ins.dropGauges = []func(){
+		reg.GaugeFunc("dwatch_wal_segments",
+			"WAL segment files currently on disk.", func() float64 {
+				return float64(w.Status().Segments)
+			}),
+		reg.GaugeFunc("dwatch_wal_bytes",
+			"Total WAL bytes currently on disk.", func() float64 {
+				return float64(w.Status().Bytes)
+			}),
+	}
 	return ins
+}
+
+// close detaches the gauge funcs.
+func (i *instruments) close() {
+	if i == nil {
+		return
+	}
+	for _, drop := range i.dropGauges {
+		drop()
+	}
 }
 
 func (i *instruments) append(d time.Duration, recLen int64) {

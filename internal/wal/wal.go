@@ -553,6 +553,7 @@ func (w *WAL) Close() error {
 	closeErr := w.f.Close()
 	w.mu.Unlock()
 	w.syncWG.Wait()
+	w.ins.close()
 	if syncErr != nil {
 		return syncErr
 	}
