@@ -46,11 +46,9 @@ chaos:
 # successive runs are benchstat-comparable and min-of-N is meaningful —
 # first iterations on a shared box are wildly noisy (WAL append has
 # swung 8 µs ↔ 640 µs run to run), so compare the per-metric min (or
-# max, for throughput metrics); the spread is the noise bound.
-# dwatch-benchjson echoes the live stream and then writes
-# BENCH_hotpath.json as structured JSON (per-benchmark metric
-# min/max/mean + raw text embedded) so the perf trajectory is
-# machine-diffable across PRs. BenchmarkWALAppend rides along because
+# max, for throughput metrics); the spread is the noise bound. The
+# recorded perf history is BENCH_baseline.json (make perf-gate) and the
+# served-path benchmark (e2ebench/). BenchmarkWALAppend rides along because
 # WAL append sits on the ingest hot path when -wal-dir is set — a
 # regression there throttles every accepted report.
 # BenchmarkBrokerFanout sweeps API fan-out (100 → 100k subscribers,
@@ -59,7 +57,7 @@ chaos:
 # fleet fan-out on the fusion hot path.
 HOTPATH_BENCH = BenchmarkMusicSpectrum|BenchmarkPMusicSpectrum|BenchmarkBeamPower|BenchmarkLocalizeGrid|BenchmarkPipelineThroughput|BenchmarkWALAppend|BenchmarkBrokerFanout
 bench:
-	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchtime 100x -count 3 -benchmem . ./internal/wal/ ./internal/serve/ | $(GO) run ./cmd/dwatch-benchjson -o BENCH_hotpath.json
+	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchtime 100x -count 3 -benchmem . ./internal/wal/ ./internal/serve/
 
 # CI's perf canary: one short fixed-count pass over the spectrum and
 # pipeline benches. Proves the perf path compiles and runs — no timing
@@ -72,10 +70,12 @@ bench-smoke:
 bench-figures:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 
-check: fmt vet build test e2ebench-test race chaos fleet-smoke cluster-smoke
+check: fmt vet build test e2ebench-test race chaos serve-smoke replay-smoke fleet-smoke cluster-smoke
 
 # Boots dwatchd -simulate with the observability plane and curls the
-# endpoints a monitoring stack would: liveness, metrics, live stats.
+# endpoints a monitoring stack would: liveness, metrics, live stats,
+# traces, RF health; then -chaos, asserting /readyz reports the flapped
+# reader's outage and recovery. Part of `make check`.
 serve-smoke:
 	./scripts/serve-smoke.sh
 
@@ -96,9 +96,10 @@ cluster-smoke:
 # Curated replay corpus: a multi-environment WAL root generated from
 # the pinned testdata/fleet configs (deterministic sim, so the corpus
 # is reproducible bit-for-bit per seed) and cached under
-# testdata/corpus/ — rm -rf it to regenerate. Feed it back with
-# `dwatchd -env-dir testdata/fleet -wal-dir testdata/corpus` (replay on
-# add) or per-env via dwatch-replay -wal-dir testdata/corpus/site-a.
+# testdata/corpus/ — rm -rf it to regenerate. `make perf-gate` replays
+# it; `dwatchd -env-dir testdata/fleet -wal-dir testdata/corpus`
+# replays it on add. (Its environments are testdata/fleet's JSON
+# configs, not presets, so dwatch-replay -env cannot replay them.)
 CORPUS_DIR ?= testdata/corpus
 corpus:
 	@if [ -d "$(CORPUS_DIR)/site-a" ] && [ -d "$(CORPUS_DIR)/site-b" ]; then \
@@ -122,8 +123,8 @@ perf-gate: corpus
 
 # The durability gate at the binary level: record a simulated run into
 # a WAL, kill -9 dwatchd mid-stream, restart and assert recovery via
-# /api/v1/wal, then replay the WAL unthrottled twice and assert the fix
-# parity hashes agree.
+# /api/v1/table/wal, then replay the WAL unthrottled twice and assert
+# the fix parity hashes agree. Part of `make check`.
 replay-smoke:
 	./scripts/replay-smoke.sh
 

@@ -39,8 +39,6 @@ import (
 	"dwatch/internal/fleet"
 	"dwatch/internal/pipeline"
 	"dwatch/internal/replay"
-	"dwatch/internal/rf"
-	"dwatch/internal/sim"
 )
 
 // EnvResult is one environment's best-of-N measurement (and the shape
@@ -157,7 +155,9 @@ func measure(corpus, fleetDir string, repeats int) (map[string]EnvResult, error)
 		if _, err := os.Stat(dir); err != nil {
 			return nil, fmt.Errorf("corpus env %s missing at %s (run `make corpus`)", env, dir)
 		}
-		dep, err := deployment(env, catalog[env])
+		// The corpus records carry "<env>/" reader IDs; the fleet's
+		// deployment qualifies them the same way.
+		dep, _, err := fleet.Deployment(env, catalog[env])
 		if err != nil {
 			return nil, err
 		}
@@ -192,22 +192,6 @@ func measure(corpus, fleetDir string, repeats int) (map[string]EnvResult, error)
 		out[env] = best
 	}
 	return out, nil
-}
-
-// deployment rebuilds the pipeline deployment a fleet environment ran
-// with: the corpus WAL records carry "<env>/" prefixed reader IDs, so
-// the replay deployment must prefix identically or every report is
-// skipped as unknown.
-func deployment(env string, cfg sim.Config) (pipeline.Deployment, error) {
-	sc, err := sim.Build(cfg)
-	if err != nil {
-		return pipeline.Deployment{}, fmt.Errorf("env %s: %w", env, err)
-	}
-	arrays := map[string]*rf.Array{}
-	for _, r := range sc.Readers {
-		arrays[env+"/"+r.ID] = r.Array
-	}
-	return pipeline.Deployment{Arrays: arrays, Grid: sc.Grid}, nil
 }
 
 // runOnce replays one environment's WAL unthrottled through a fresh

@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	env := flag.String("env", "hall", "environment preset: library, laboratory, hall")
+	env := flag.String("env", "hall", "environment preset: library, laboratory (lab), hall, table")
 	cell := flag.Float64("cell", 0.25, "analysis cell size (m)")
 	minReaders := flag.Int("min-readers", 2, "readers required for a 2-D fix")
 	sweep := flag.String("tags-sweep", "21,31,41", "tag counts to compare")
@@ -38,7 +38,7 @@ func main() {
 	}
 
 	for i, n := range counts {
-		cfg, err := preset(*env)
+		cfg, err := sim.Preset(*env)
 		if err != nil {
 			fatal(err)
 		}
@@ -62,19 +62,6 @@ func main() {
 		}
 	}
 	fmt.Println("(Section 8: \"increase the number of tags to reduce the amount of deadzones\")")
-}
-
-func preset(name string) (sim.Config, error) {
-	switch name {
-	case "library":
-		return sim.LibraryConfig(), nil
-	case "laboratory", "lab":
-		return sim.LaboratoryConfig(), nil
-	case "hall":
-		return sim.HallConfig(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("unknown environment %q", name)
-	}
 }
 
 func fatal(err error) {

@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	env := flag.String("env", "hall", "environment preset: library, laboratory, hall, table")
+	env := flag.String("env", "hall", "environment preset: library, laboratory (lab), hall, table")
 	configPath := flag.String("config", "", "JSON deployment file (overrides -env)")
 	antennas := flag.Int("antennas", 0, "antennas per array (0 = preset default)")
 	tags := flag.Int("tags", 0, "tag population size (0 = preset default)")
@@ -45,7 +45,7 @@ func main() {
 		cfg, err = sim.LoadConfig(f)
 		f.Close()
 	} else {
-		cfg, err = preset(*env)
+		cfg, err = sim.Preset(*env)
 	}
 	if err != nil {
 		fatal(err)
@@ -142,21 +142,6 @@ func main() {
 	fmt.Printf("fix: (%.2f, %.2f)  confidence %.2f\n", res.Pos.X, res.Pos.Y, res.Confidence)
 	if len(positions) == 1 {
 		fmt.Printf("error: %.1f cm\n", 100*res.Pos.Dist2D(positions[0]))
-	}
-}
-
-func preset(name string) (sim.Config, error) {
-	switch name {
-	case "library":
-		return sim.LibraryConfig(), nil
-	case "laboratory", "lab":
-		return sim.LaboratoryConfig(), nil
-	case "hall":
-		return sim.HallConfig(), nil
-	case "table":
-		return sim.TableConfig(), nil
-	default:
-		return sim.Config{}, fmt.Errorf("unknown environment %q", name)
 	}
 }
 

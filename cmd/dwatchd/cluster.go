@@ -1,106 +1,65 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"dwatch/internal/api"
 	"dwatch/internal/cluster"
-	"dwatch/internal/fleet"
-	"dwatch/internal/obs"
-	"dwatch/internal/profiling"
 	"dwatch/internal/serve"
+	"dwatch/internal/sim"
 )
 
-// Clustered fleet mode (-env-dir plus -cluster): the env directory is
-// a *catalog* of deployments this node can host, not a set it owns.
-// Ownership comes from the gateway's directory — the agent joins,
-// heartbeats, and reconciles the fleet against each response, adopting
-// (WAL replay included) and draining environments as slot assignments
-// move. -simulate starts traffic on each environment when this node
-// adopts it and stops when the environment drains away.
-func runFleetClustered(opts fleetRunOptions, reg *obs.Registry, hub *serve.Hub, f *fleet.Fleet, ring *profiling.Ring) error {
-	if opts.httpAddr == "" {
+// joinCluster is -cluster mode: the environments are a *catalog* of
+// deployments this node can host, not a set it owns. Ownership comes
+// from the gateway's directory — the agent joins, heartbeats, and
+// reconciles the fleet against each response, adding (WAL replay
+// included) and draining environments as slot assignments move.
+// -simulate starts traffic on each environment when this node adopts
+// it; the traffic stops when the environment drains away.
+func (d *daemon) joinCluster(catalog map[string]sim.Config, ids []string) error {
+	if *httpAddr == "" {
 		return errors.New("-cluster requires -http: the gateway proxies environment requests to this node")
 	}
-	catalog, ids, err := fleet.ReadConfigDir(opts.envDir)
-	if err != nil {
-		return err
-	}
-
-	nodeID := opts.nodeID
-	if nodeID == "" {
-		if nodeID, err = os.Hostname(); err != nil {
+	node := *nodeID
+	if node == "" {
+		var err error
+		if node, err = os.Hostname(); err != nil {
 			return err
 		}
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	planeOpts := []serve.Option{
-		serve.WithRegistry(reg),
-		serve.WithHub(hub),
-		serve.WithEnvs(f.Infos),
-		serve.WithEnvLookup(f.EnvHandle),
-		serve.WithReady(f.Ready),
-		serve.WithFleetStats(func() api.FleetStats { return fleetStats(f) }),
-		serve.WithCluster(func() api.ClusterStatus {
-			st := api.ClusterStatus{Role: "node", Node: nodeID, Assignments: map[string]string{}}
-			for _, id := range f.IDs() {
-				st.Assignments[id] = nodeID
-			}
-			return st
-		}),
-		serve.WithLogger(logger),
-	}
-	planeOpts = append(planeOpts, profileOptions(ring)...)
-	plane := serve.New(planeOpts...)
-	planeAddr, err := plane.Start(opts.httpAddr)
+	d.planeOpts = append(d.planeOpts, serve.WithCluster(func() api.ClusterStatus {
+		st := api.ClusterStatus{Role: "node", Node: node, Assignments: map[string]string{}}
+		for _, id := range d.f.IDs() {
+			st.Assignments[id] = node
+		}
+		return st
+	}))
+	url, err := d.startPlane()
 	if err != nil {
 		return err
 	}
-	advertise := opts.advertise
-	if advertise == "" {
-		advertise = "http://" + planeAddr.String()
+	self := *advertise
+	if self == "" {
+		self = url
 	}
 
-	var aopts []cluster.AgentOption
-	aopts = append(aopts, cluster.WithAgentLogger(logger))
-	if opts.simulate {
-		aopts = append(aopts, cluster.WithOnAdopt(func(id string) {
-			go func() {
-				if err := f.Simulate(ctx, id, opts.rounds, 0, opts.simInterval); err != nil && ctx.Err() == nil {
-					logger.Error("simulate failed", "env", id, "error", err)
-				}
-			}()
-		}))
+	aopts := []cluster.AgentOption{cluster.WithAgentLogger(logger)}
+	if *simulate {
+		aopts = append(aopts, cluster.WithOnAdopt(d.simulate))
 	}
-	agent := cluster.NewAgent(nodeID, advertise, opts.clusterURL, f, catalog, aopts...)
-
-	logger.Info("cluster node up", "node", nodeID, "gateway", opts.clusterURL,
-		"advertise", advertise, "catalog", len(ids), "wal_root", opts.walDir)
-
-	runDone := make(chan error, 1)
-	go func() { runDone <- agent.Run(ctx) }()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case <-sig:
-	case err := <-runDone:
-		if err != nil && !errors.Is(err, context.Canceled) {
+	agent := cluster.NewAgent(node, self, *clusterURL, d.f, catalog, aopts...)
+	logger.Info("cluster node up", "node", node, "gateway", *clusterURL,
+		"advertise", self, "catalog", len(ids), "wal_root", *walDir)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := agent.Run(d.ctx); err != nil && d.ctx.Err() == nil {
 			logger.Error("cluster agent stopped", "error", err)
 		}
-	}
-	agent.Close() // leaves the directory (waits for the Run loop)
-	cancel()
-	f.Close() // graceful drain: pipeline flush, WAL close
-	sctx, scancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer scancel()
-	return plane.Shutdown(sctx)
+	}()
+	// Leave the directory (Close waits for the Run loop) before the
+	// fleet drains.
+	d.onStop = append(d.onStop, func() { agent.Close(); <-done })
+	return nil
 }

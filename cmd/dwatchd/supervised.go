@@ -3,37 +3,178 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
-	"dwatch/internal/api"
-	"dwatch/internal/api/adapt"
+	"dwatch/internal/fleet"
 	"dwatch/internal/llrp"
 	"dwatch/internal/serve"
 	"dwatch/internal/session"
 	"dwatch/internal/sim"
 )
 
-// supervisedOptions parameterizes the outbound (supervised) mode,
-// where dwatchd dials its readers — the real-LLRP direction — and a
+// supervised is the outbound mode (-dial, -chaos): dwatchd dials the
+// one environment's readers — the real LLRP direction — and a
 // session.Supervisor keeps every connection alive through keepalive
-// probing, backoff reconnect, and per-reader circuit breakers.
-type supervisedOptions struct {
-	// dial lists real reader endpoints as "id=addr,id=addr"; empty
-	// with chaos set spawns in-process simulated readers instead.
-	dial      string
-	chaos     bool
-	chaosSeed int64
-	// flap is how long the chaos run keeps one reader dead mid-walk.
-	flap     time.Duration
-	rounds   int
-	httpAddr string
+// probing, backoff reconnect, and per-reader circuit breakers. With
+// -chaos the readers are in-process simulations dialed through the
+// deterministic fault injector, and one is killed and restarted
+// mid-run to demonstrate degraded fixes and recovery.
+type supervised struct {
+	sup  *session.Supervisor
+	sc   *sim.Scenario
+	sims []*sim.ReaderEndpoint // -chaos only
 }
 
-// parseDial turns "reader-1=host:port,reader-2=host:port" into
+// supervise builds the supervisor for environment id. Reports go
+// through fleet.Ingest, so the WAL records them before dispatch.
+func (d *daemon) supervise(id string, cfg sim.Config) (*supervised, error) {
+	_, sc, err := fleet.Deployment(id, cfg)
+	if err != nil {
+		return nil, err
+	}
+	sv := &supervised{sc: sc}
+	var eps []session.Endpoint
+	if *dial != "" {
+		if eps, err = parseDial(*dial); err != nil {
+			return nil, err
+		}
+	} else {
+		for _, rd := range sc.Readers {
+			e := sim.NewReaderEndpoint(rd.ID, rd.Array.Elements)
+			addr, err := e.Start("127.0.0.1:0")
+			if err != nil {
+				return nil, err
+			}
+			sv.sims = append(sv.sims, e)
+			eps = append(eps, session.Endpoint{ID: rd.ID, Addr: addr.String()})
+		}
+	}
+
+	sopts := []session.Option{
+		session.WithHandler(func(rep *llrp.ROAccessReport) error {
+			payload, err := rep.Marshal()
+			if err != nil {
+				return err
+			}
+			return d.f.Ingest(id, payload)
+		}),
+		session.WithObs(d.reg),
+		session.WithLogger(logger),
+		// Log transitions and poke the assembler so pending sequences
+		// re-evaluate against the new live set.
+		session.WithOnState(func(reader string, st session.State) {
+			logger.Info("reader state", "reader", reader, "state", st.String())
+			if e, ok := d.f.Env(id); ok {
+				e.Pipeline().NotifyLiveChange()
+			}
+		}),
+	}
+	if *chaos {
+		// Compressed fault-handling cadence so a short demo run shows
+		// down-detection, degraded fixes, and reconnect.
+		sopts = append(sopts,
+			session.WithKeepalive(llrp.KeepaliveOptions{
+				Interval: 100 * time.Millisecond, Timeout: 200 * time.Millisecond, Missed: 2,
+			}),
+			session.WithBackoff(llrp.BackoffOptions{
+				Base: 50 * time.Millisecond, Cap: 500 * time.Millisecond,
+			}),
+			session.WithBreaker(3, 500*time.Millisecond),
+			session.WithJitterSeed(*chaosSeed),
+			session.WithFaults(session.FaultConfig{
+				Seed:      *chaosSeed,
+				DelayProb: 0.05, // visible jitter without breaking frames
+			}),
+		)
+	}
+	sv.sup, err = session.New(eps, sopts...)
+	return sv, err
+}
+
+// start connects the sessions and, with -chaos, drives the simulated
+// readers.
+func (sv *supervised) start(d *daemon) {
+	sv.sup.Start()
+	d.onStop = append(d.onStop, sv.stop)
+	if len(sv.sims) > 0 {
+		d.drive("chaos run", func() error { return sv.runChaos(d.ctx) })
+	}
+}
+
+func (sv *supervised) stop() {
+	sv.sup.Stop()
+	for _, e := range sv.sims {
+		e.Stop()
+	}
+}
+
+// runChaos drives the simulated readers through pre-generated rounds
+// and flaps the last reader mid-walk: stopped after the first walking
+// round, restarted -chaos-flap later. While it is down the pipeline
+// emits degraded fixes from the remaining live quorum.
+func (sv *supervised) runChaos(ctx context.Context) error {
+	rounds, err := sim.GenerateLLRPRounds(sv.sc, *rounds, 10)
+	if err != nil {
+		return err
+	}
+	// Wait for every session to finish its handshake before streaming.
+	for _, e := range sv.sims {
+		select {
+		case <-e.WaitStreaming():
+		case <-ctx.Done():
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("reader %s: no session after 10s", e.ID)
+		}
+	}
+	victim := sv.sims[len(sv.sims)-1]
+	const interval = 200 * time.Millisecond
+	for i, rd := range rounds {
+		if i == 3 && len(sv.sims) > 2 { // first walking round delivered; kill one reader
+			logger.Info("chaos: killing reader", "reader", victim.ID, "for", chaosFlap.String())
+			victim.Stop()
+			time.AfterFunc(*chaosFlap, func() {
+				if ctx.Err() != nil {
+					return
+				}
+				if _, err := victim.Start(victim.Addr()); err != nil {
+					logger.Error("chaos: restart failed", "reader", victim.ID, "error", err)
+					return
+				}
+				logger.Info("chaos: reader restarted", "reader", victim.ID)
+			})
+		}
+		for _, e := range sv.sims {
+			// A dead or reconnecting reader just misses the round.
+			_ = e.Broadcast(rd.Payloads[e.ID])
+		}
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-time.After(interval):
+		}
+	}
+	// Let the sessions deliver the last round before the run ends.
+	time.Sleep(300 * time.Millisecond)
+	return nil
+}
+
+// readerStatuses adapts supervisor status snapshots to the /readyz
+// reader-state shape.
+func (sv *supervised) readerStatuses() []serve.ReaderStatus {
+	sts := sv.sup.Status()
+	out := make([]serve.ReaderStatus, len(sts))
+	for i, st := range sts {
+		out[i] = serve.ReaderStatus{
+			ID: st.ID, Addr: st.Addr, State: st.State.String(),
+			Since: st.Since, Reconnects: st.Reconnects, LastError: st.LastError,
+		}
+	}
+	return out
+}
+
+// parseDial turns "env/reader-1=host:port,env/reader-2=host:port" into
 // session endpoints.
 func parseDial(s string) ([]session.Endpoint, error) {
 	var eps []session.Endpoint
@@ -48,199 +189,5 @@ func parseDial(s string) ([]session.Endpoint, error) {
 		}
 		eps = append(eps, session.Endpoint{ID: id, Addr: addr})
 	}
-	if len(eps) == 0 {
-		return nil, fmt.Errorf("-dial: no endpoints")
-	}
-	return eps, nil
-}
-
-// runSupervised is dwatchd's fault-tolerant mode: a supervisor owns
-// one session per reader, the pipeline fuses from the live quorum when
-// a reader is down, and /readyz exposes per-reader state. With -chaos
-// the readers are in-process simulations dialed through the
-// deterministic fault injector, and one of them is killed and
-// restarted mid-run to demonstrate degraded fixes and recovery.
-func runSupervised(srv *server, opts supervisedOptions) error {
-	sc := srv.sc
-	var eps []session.Endpoint
-	var sims []*sim.ReaderEndpoint
-	if opts.dial != "" {
-		var err error
-		if eps, err = parseDial(opts.dial); err != nil {
-			return err
-		}
-	} else {
-		for _, rd := range sc.Readers {
-			e := sim.NewReaderEndpoint(rd.ID, rd.Array.Elements)
-			addr, err := e.Start("127.0.0.1:0")
-			if err != nil {
-				return err
-			}
-			defer e.Stop()
-			sims = append(sims, e)
-			eps = append(eps, session.Endpoint{ID: rd.ID, Addr: addr.String()})
-			logger.Info("simulated reader listening", "reader", rd.ID, "addr", addr.String())
-		}
-	}
-
-	sopts := []session.Option{
-		session.WithHandler(func(rep *llrp.ROAccessReport) error {
-			// Durability before dispatch, as in listen mode; session
-			// handlers get parsed reports, so walAppendReport
-			// re-marshals for the log.
-			if err := srv.walAppendReport(rep); err != nil {
-				logger.Error("wal append failed", "reader", rep.ReaderID, "error", err)
-			}
-			return srv.pipe.Ingest(rep)
-		}),
-		session.WithObs(srv.obs),
-		session.WithLogger(logger),
-	}
-	if opts.chaos {
-		// Compressed fault-handling cadence so a short demo run shows
-		// down-detection, degraded fixes, and reconnect.
-		sopts = append(sopts,
-			session.WithKeepalive(llrp.KeepaliveOptions{
-				Interval: 100 * time.Millisecond, Timeout: 200 * time.Millisecond, Missed: 2,
-			}),
-			session.WithBackoff(llrp.BackoffOptions{
-				Base: 50 * time.Millisecond, Cap: 500 * time.Millisecond,
-			}),
-			session.WithBreaker(3, 500*time.Millisecond),
-			session.WithJitterSeed(opts.chaosSeed),
-			session.WithFaults(session.FaultConfig{
-				Seed:      opts.chaosSeed,
-				DelayProb: 0.05, // visible jitter without breaking frames
-			}),
-		)
-	}
-	var sup *session.Supervisor
-	// The state observer logs transitions and pokes the assembler so
-	// pending sequences re-evaluate against the new live set.
-	sopts = append(sopts, session.WithOnState(func(id string, st session.State) {
-		logger.Info("reader state", "reader", id, "state", st.String())
-		srv.pipe.NotifyLiveChange()
-	}))
-	sup, err := session.New(eps, sopts...)
-	if err != nil {
-		return err
-	}
-	srv.liveReaders = sup.Live
-	srv.start()
-	sup.Start()
-	defer sup.Stop()
-	logger.Info("dwatchd supervising", "readers", len(eps), "env", sc.Name,
-		"workers", pipelineWorkers(srv.opts.workers), "overload", srv.opts.overload.String())
-
-	var plane *serve.Server
-	if opts.httpAddr != "" {
-		planeOpts := []serve.Option{
-			serve.WithRegistry(srv.obs),
-			serve.WithHub(srv.hub),
-			serve.WithTracer(srv.tracer),
-			serve.WithHealth(srv.health),
-			serve.WithStats(func() api.PipelineStats { return adapt.PipelineStats(srv.pipe.Stats()) }),
-			serve.WithReady(srv.ready),
-			serve.WithReaders(readerStatuses(sup)),
-			serve.WithDegraded(sup.Degraded),
-			serve.WithLogger(logger),
-		}
-		if srv.wal != nil {
-			planeOpts = append(planeOpts, serve.WithWALStatus(func() api.WALStatus { return adapt.WALStatus(srv.wal.Status()) }))
-		}
-		planeOpts = append(planeOpts, legacyFleetOptions(srv)...)
-		planeOpts = append(planeOpts, profileOptions(srv.ring)...)
-		plane = serve.New(planeOpts...)
-		planeAddr, err := plane.Start(opts.httpAddr)
-		if err != nil {
-			return fmt.Errorf("observability plane: %v", err)
-		}
-		logger.Info("observability plane up", "url", "http://"+planeAddr.String()+"/",
-			"note", "readyz reports per-reader state")
-	}
-
-	done := make(chan error, 1)
-	if opts.chaos && len(sims) > 0 {
-		go func() { done <- runChaos(sc, sims, opts) }()
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	select {
-	case <-sig:
-	case err := <-done:
-		if err != nil {
-			logger.Error("chaos run failed", "error", err)
-		}
-		// Let the pipeline drain the tail of reports before stopping.
-		time.Sleep(300 * time.Millisecond)
-	}
-	sup.Stop()
-	srv.shutdown()
-	if plane != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-		defer cancel()
-		if err := plane.Shutdown(ctx); err != nil {
-			logger.Warn("observability plane shutdown", "error", err)
-		}
-	}
-	return nil
-}
-
-// runChaos drives the simulated readers through pre-generated rounds
-// and flaps the last reader mid-walk: stopped after the first walking
-// round, restarted opts.flap later. While it is down the pipeline
-// emits degraded fixes from the remaining live quorum.
-func runChaos(sc *sim.Scenario, sims []*sim.ReaderEndpoint, opts supervisedOptions) error {
-	rounds, err := sim.GenerateLLRPRounds(sc, opts.rounds, 10)
-	if err != nil {
-		return err
-	}
-	// Wait for every session to finish its handshake before streaming.
-	for _, e := range sims {
-		select {
-		case <-e.WaitStreaming():
-		case <-time.After(10 * time.Second):
-			return fmt.Errorf("reader %s: no session after 10s", e.ID)
-		}
-	}
-	victim := sims[len(sims)-1]
-	const interval = 200 * time.Millisecond
-	for i, rd := range rounds {
-		if i == 3 && len(sims) > 2 { // first walking round delivered; kill one reader
-			logger.Info("chaos: killing reader", "reader", victim.ID, "for", opts.flap.String())
-			victim.Stop()
-			time.AfterFunc(opts.flap, func() {
-				if _, err := victim.Start(victim.Addr()); err != nil {
-					logger.Error("chaos: restart failed", "reader", victim.ID, "error", err)
-					return
-				}
-				logger.Info("chaos: reader restarted", "reader", victim.ID)
-			})
-		}
-		for _, e := range sims {
-			if err := e.Broadcast(rd.Payloads[e.ID]); err != nil {
-				// A dead or reconnecting reader just misses the round.
-				continue
-			}
-		}
-		time.Sleep(interval)
-	}
-	return nil
-}
-
-// readerStatuses adapts supervisor status snapshots to the serve
-// plane's reader-state shape.
-func readerStatuses(sup *session.Supervisor) func() []serve.ReaderStatus {
-	return func() []serve.ReaderStatus {
-		sts := sup.Status()
-		out := make([]serve.ReaderStatus, len(sts))
-		for i, st := range sts {
-			out[i] = serve.ReaderStatus{
-				ID: st.ID, Addr: st.Addr, State: st.State.String(),
-				Since: st.Since, Reconnects: st.Reconnects, LastError: st.LastError,
-			}
-		}
-		return out
-	}
+	return eps, nil // session.New rejects an empty list
 }

@@ -70,8 +70,8 @@ func (c *Client) url(path string) string {
 	return strings.TrimRight(c.BaseURL, "/") + path
 }
 
-// envPath scopes an endpoint to an environment: env "" yields the
-// legacy process-wide route, anything else the /api/v1/{env}/ form.
+// envPath scopes an endpoint to an environment: the /api/v1/{env}/
+// form, or the process-wide route for env "" (only positions has one).
 func envPath(env, endpoint string) string {
 	if env == "" {
 		return "/api/v1/" + endpoint
@@ -136,17 +136,16 @@ func (c *Client) Envs(ctx context.Context) (EnvsResponse, error) {
 	return out, err
 }
 
-// Positions fetches the latest fix per environment. env "" uses the
-// process-wide aggregate route.
+// Positions fetches the latest fix of one environment, or of every
+// environment when env is "".
 func (c *Client) Positions(ctx context.Context, env string) (PositionsResponse, error) {
 	var out PositionsResponse
 	err := c.do(ctx, http.MethodGet, envPath(env, "positions"), nil, &out)
 	return out, err
 }
 
-// EnvStats fetches one environment's pipeline snapshot (env "" hits
-// the legacy single-deployment /api/v1/stats, which only decodes as a
-// PipelineStats on a single-env daemon — use FleetStats on a fleet).
+// EnvStats fetches one environment's pipeline snapshot (FleetStats
+// fetches every environment's).
 func (c *Client) EnvStats(ctx context.Context, env string) (PipelineStats, error) {
 	var out PipelineStats
 	err := c.do(ctx, http.MethodGet, envPath(env, "stats"), nil, &out)
@@ -154,35 +153,35 @@ func (c *Client) EnvStats(ctx context.Context, env string) (PipelineStats, error
 }
 
 // FleetStats fetches the aggregate per-environment stats map served by
-// fleet-mode daemons and the gateway.
+// dwatchd and the gateway.
 func (c *Client) FleetStats(ctx context.Context) (FleetStats, error) {
 	var out FleetStats
 	err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, &out)
 	return out, err
 }
 
-// Health fetches the RF-health snapshot (env "" = process-wide).
+// Health fetches one environment's RF-health snapshot.
 func (c *Client) Health(ctx context.Context, env string) (RFHealth, error) {
 	var out RFHealth
 	err := c.do(ctx, http.MethodGet, envPath(env, "health"), nil, &out)
 	return out, err
 }
 
-// Traces fetches the retained trace listing (env "" = process-wide).
+// Traces fetches one environment's retained trace listing.
 func (c *Client) Traces(ctx context.Context, env string) (TracesResponse, error) {
 	var out TracesResponse
 	err := c.do(ctx, http.MethodGet, envPath(env, "traces"), nil, &out)
 	return out, err
 }
 
-// Trace resolves one trace ID (env "" = process-wide).
+// Trace resolves one trace ID within an environment.
 func (c *Client) Trace(ctx context.Context, env, id string) (Trace, error) {
 	var out Trace
 	err := c.do(ctx, http.MethodGet, envPath(env, "traces/"+url.PathEscape(id)), nil, &out)
 	return out, err
 }
 
-// WAL fetches the ingest WAL status (env "" = process-wide).
+// WAL fetches one environment's ingest WAL status.
 func (c *Client) WAL(ctx context.Context, env string) (WALStatus, error) {
 	var out WALStatus
 	err := c.do(ctx, http.MethodGet, envPath(env, "wal"), nil, &out)

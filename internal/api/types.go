@@ -158,9 +158,8 @@ type PipelineStats struct {
 	FuseLatency    LatencySummary `json:"FuseLatency"`
 }
 
-// FleetStats is the aggregate /api/v1/stats body of a multi-env
-// deployment (dwatchd fleet mode, and the gateway's fan-in): one
-// pipeline snapshot per environment ID.
+// FleetStats is the aggregate /api/v1/stats body (dwatchd, and the
+// gateway's fan-in): one pipeline snapshot per environment ID.
 type FleetStats map[string]PipelineStats
 
 // PathHealth mirrors health.PathHealth: one tracked P-MUSIC path.

@@ -4,11 +4,15 @@
 // publishing into one shared serve.Hub and one shared obs.Registry.
 //
 // The fleet owns the whole per-environment lifecycle: Add builds and
-// starts an environment from a sim deployment config (reader IDs are
-// prefixed "<env>/" so metric labels and pipeline state never collide
-// across tenants), Remove drains it gracefully without disturbing its
-// neighbors, Reload is an atomic swap of the two, and LoadDir boots a
-// directory of JSON deployment configs — the -env-dir mode of dwatchd.
+// starts an environment from a sim deployment config, Remove drains it
+// gracefully without disturbing its neighbors, Reload is an atomic swap
+// of the two, and LoadDir boots a directory of JSON deployment configs.
+//
+// One reader-ID rule holds everywhere: a reader belongs to environment
+// E exactly when its ID is "E/<reader>". Deployment qualifies scenario
+// readers this way, so metric labels, pipeline state, and WAL records
+// never collide across tenants, and Handler routes each LLRP report to
+// the environment its reader ID names.
 //
 // Environments are placed on a consistent-hash ring over their IDs
 // (see Ring); the slot is surfaced per environment as the unit a
@@ -35,6 +39,7 @@ import (
 	"dwatch/internal/llrp"
 	"dwatch/internal/obs"
 	"dwatch/internal/pipeline"
+	"dwatch/internal/reader"
 	"dwatch/internal/rf"
 	"dwatch/internal/serve"
 	"dwatch/internal/sim"
@@ -103,13 +108,8 @@ type Env struct {
 	slot     int
 	added    time.Time
 
-	// adopted environments are registered for routing/listing only:
-	// their pipeline lifecycle belongs to the caller (dwatchd's legacy
-	// single-deployment path), so Remove unregisters without draining.
-	adopted        bool
-	adoptedReaders int
-	stats          func() api.PipelineStats
-	walStatus      func() api.WALStatus
+	stats     func() api.PipelineStats
+	walStatus func() api.WALStatus
 
 	fixes   atomic.Uint64
 	reports atomic.Uint64
@@ -136,7 +136,7 @@ func (e *Env) ID() string { return e.id }
 // "<env>/" prefix).
 func (e *Env) Scenario() *sim.Scenario { return e.scenario }
 
-// Pipeline returns the environment's pipeline (nil for adopted envs).
+// Pipeline returns the environment's pipeline.
 func (e *Env) Pipeline() *pipeline.Pipeline { return e.pipe }
 
 // Slot returns the environment's home slot on the fleet's hash ring.
@@ -224,24 +224,36 @@ func validateID(id string) error {
 	return nil
 }
 
-// Add builds, registers, and starts an environment from a deployment
-// config. Reader IDs are prefixed "<id>/" before anything downstream
-// sees them, so per-reader metric labels, health state, and WAL records
-// stay disjoint across environments. When a WAL root is configured the
-// environment's surviving records are replayed through the fresh
+// Deployment builds environment id's scenario from cfg with every
+// reader ID qualified as "<id>/<reader>", and the pipeline deployment
+// over it. Add builds every environment through it; offline tools
+// rebuild the same deployment with it to replay an environment's WAL.
+func Deployment(id string, cfg sim.Config) (pipeline.Deployment, *sim.Scenario, error) {
+	sc, err := sim.Build(cfg)
+	if err != nil {
+		return pipeline.Deployment{}, nil, fmt.Errorf("fleet: build %s: %w", id, err)
+	}
+	arrays := make(map[string]*rf.Array, len(sc.Readers))
+	for _, r := range sc.Readers {
+		if !strings.HasPrefix(r.ID, id+"/") {
+			r.ID = id + "/" + r.ID
+		}
+		arrays[r.ID] = r.Array
+	}
+	return pipeline.Deployment{Arrays: arrays, Grid: sc.Grid}, sc, nil
+}
+
+// Add builds (through Deployment), registers, and starts an
+// environment from a deployment config. When a WAL root is configured
+// the environment's surviving records are replayed through the fresh
 // pipeline before Add returns.
 func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, error) {
 	if err := validateID(id); err != nil {
 		return nil, err
 	}
-	sc, err := sim.Build(cfg)
+	dep, sc, err := Deployment(id, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("fleet: build %s: %w", id, err)
-	}
-	for _, r := range sc.Readers {
-		if !strings.HasPrefix(r.ID, id+"/") {
-			r.ID = id + "/" + r.ID
-		}
+		return nil, err
 	}
 
 	e := &Env{
@@ -266,10 +278,6 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 		e.walStatus = func() api.WALStatus { return adapt.WALStatus(w.Status()) }
 	}
 
-	arrays := map[string]*rf.Array{}
-	for _, r := range sc.Readers {
-		arrays[r.ID] = r.Array
-	}
 	pipeOpts := []pipeline.Option{
 		pipeline.WithObs(f.o.reg),
 		pipeline.WithTracer(e.tracer),
@@ -280,7 +288,7 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 		pipeOpts = append(pipeOpts, f.o.pipe(id)...)
 	}
 	pipeOpts = append(pipeOpts, popts...)
-	p, err := pipeline.New(pipeline.Deployment{Arrays: arrays, Grid: sc.Grid}, pipeOpts...)
+	p, err := pipeline.New(dep, pipeOpts...)
 	if err != nil {
 		if e.wal != nil {
 			e.wal.Close()
@@ -366,46 +374,6 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 	return e, nil
 }
 
-// Adopted describes an externally-managed environment for Adopt.
-type Adopted struct {
-	// Name is the scenario name shown on /api/v1/envs (default: the ID).
-	Name    string
-	Readers int
-	Tags    int
-	Stats   func() api.PipelineStats
-	Tracer  *tracing.Tracer
-	Health  *health.Monitor
-	// WALStatus backs /api/v1/{env}/wal when set.
-	WALStatus func() api.WALStatus
-}
-
-// Adopt registers an environment whose pipeline is owned elsewhere —
-// dwatchd's legacy single-deployment modes adopt their one environment
-// so the env-scoped routes and /api/v1/envs work identically in
-// single- and multi-env deployments. Remove on an adopted environment
-// unregisters it without touching the caller's pipeline.
-func (f *Fleet) Adopt(id string, a Adopted) (*Env, error) {
-	if err := validateID(id); err != nil {
-		return nil, err
-	}
-	e := &Env{
-		id: id, added: time.Now(), slot: f.ring.Slot(id),
-		adopted: true, stop: make(chan struct{}),
-		stats: a.Stats, walStatus: a.WALStatus,
-		tracer: a.Tracer, health: a.Health,
-	}
-	e.scenario = &sim.Scenario{Name: a.Name, Cfg: sim.Config{Tags: a.Tags}}
-	if a.Name == "" {
-		e.scenario.Name = id
-	}
-	e.scenario.Readers = nil
-	e.adoptedReaders = a.Readers
-	if err := f.register(e); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
 // register inserts e under the fleet lock.
 func (f *Fleet) register(e *Env) error {
 	f.mu.Lock()
@@ -453,11 +421,10 @@ func (f *Fleet) Len() int {
 	return len(f.envs)
 }
 
-// Remove deregisters an environment and, for fleet-owned environments,
-// drains it gracefully: new lookups miss immediately, any Simulate
-// driver stops, the pipeline flushes in-flight work, the WAL closes,
-// and the hub forgets the environment's latest fix. Other environments
-// are untouched.
+// Remove deregisters an environment and drains it gracefully: new
+// lookups miss immediately, any Simulate driver stops, the pipeline
+// flushes in-flight work, the WAL closes, and the hub forgets the
+// environment's latest fix. Other environments are untouched.
 func (f *Fleet) Remove(id string) error {
 	f.mu.Lock()
 	e, ok := f.envs[id]
@@ -489,16 +456,12 @@ func (f *Fleet) Remove(id string) error {
 func (f *Fleet) teardownEnv(e *Env) {
 	e.slo.Close() // idempotent; covers Add-failure paths that skip Remove
 	close(e.stop)
-	if !e.adopted {
-		if e.pipe != nil {
-			e.pipe.Drain()
-		}
-		e.fixWG.Wait()
-		if e.wal != nil {
-			e.wal.Close()
-		}
-		e.health.Close()
+	e.pipe.Drain()
+	e.fixWG.Wait()
+	if e.wal != nil {
+		e.wal.Close()
 	}
+	e.health.Close()
 	f.o.hub.Forget(e.id)
 }
 
@@ -569,31 +532,101 @@ func (f *Fleet) LoadDir(dir string, popts ...pipeline.Option) ([]string, error) 
 }
 
 // Ingest appends a report to the environment's WAL (when configured)
-// and dispatches it to the environment's pipeline — the fleet-mode
-// equivalent of dwatchd's LLRP handler path.
+// and dispatches it to the environment's pipeline.
 func (f *Fleet) Ingest(id string, payload []byte) error {
 	e := f.lookup(id)
 	if e == nil {
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	if e.adopted {
-		return fmt.Errorf("fleet: environment %q is adopted; ingest through its owner", id)
-	}
 	rep, err := llrp.UnmarshalROAccessReport(payload)
 	if err != nil {
 		return fmt.Errorf("fleet: %s: %w", id, err)
 	}
+	return e.ingest(rep, payload)
+}
+
+// ingest is Ingest past the decode: durability before dispatch, so a
+// report the pipeline saw is always in the WAL.
+func (e *Env) ingest(rep *llrp.ROAccessReport, payload []byte) error {
 	if e.wal != nil {
 		if _, err := e.wal.Append(time.Now(), llrp.MsgROAccessReport, payload); err != nil {
-			return fmt.Errorf("fleet: %s: wal append: %w", id, err)
+			return fmt.Errorf("fleet: %s: wal append: %w", e.id, err)
 		}
 	}
 	if err := e.pipe.Ingest(rep); err != nil {
-		return fmt.Errorf("fleet: %s: %w", id, err)
+		return fmt.Errorf("fleet: %s: %w", e.id, err)
 	}
 	e.reports.Add(1)
 	e.reportCtr.Add(1)
 	return nil
+}
+
+// Handler returns the LLRP handler that feeds reader connections into
+// the fleet; serve it with an llrp.Server. It acks keepalives, answers
+// a known reader's capabilities with the paper's acquisition spec
+// (0.1 s period, 10 snapshots per tag), and ingests each
+// RO_ACCESS_REPORT into the environment its reader ID names. A report
+// whose reader no registered environment deploys is refused and
+// logged, never guessed at.
+func (f *Fleet) Handler() llrp.Handler { return llrp.HandlerFunc(f.handle) }
+
+func (f *Fleet) handle(conn *llrp.Conn, msg llrp.Message) error {
+	switch msg.Type {
+	case llrp.MsgKeepalive:
+		return conn.SendWithID(llrp.MsgKeepaliveAck, msg.ID, nil)
+	case llrp.MsgGetReaderCapabilitiesResponse:
+		caps, err := llrp.UnmarshalReaderCapabilities(msg.Payload)
+		if err != nil {
+			return err
+		}
+		_, rd := f.reader(caps.ReaderID)
+		switch {
+		case rd == nil:
+			f.o.logger.Warn("capabilities from unknown reader", "reader", caps.ReaderID)
+			return nil
+		case int(caps.Antennas) != rd.Array.Elements:
+			f.o.logger.Warn("antenna count mismatch — reports will be rejected",
+				"reader", caps.ReaderID, "reported", caps.Antennas, "expected", rd.Array.Elements)
+			return nil
+		}
+		f.o.logger.Info("reader online", "reader", caps.ReaderID, "model", caps.Model, "antennas", caps.Antennas)
+		spec := llrp.ROSpec{ID: 1, PeriodMs: 100, SnapshotsPerTag: 10}
+		_, err = conn.Send(llrp.MsgStartROSpec, spec.Marshal())
+		return err
+	case llrp.MsgROAccessReport:
+		rep, err := llrp.UnmarshalROAccessReport(msg.Payload)
+		if err != nil {
+			return err
+		}
+		e, rd := f.reader(rep.ReaderID)
+		if rd == nil {
+			f.o.logger.Warn("report refused: no environment deploys its reader", "reader", rep.ReaderID, "seq", rep.Seq)
+			return nil
+		}
+		if err := e.ingest(rep, msg.Payload); err != nil {
+			f.o.logger.Warn("ingest failed", "reader", rep.ReaderID, "seq", rep.Seq, "error", err)
+		}
+	}
+	return nil
+}
+
+// reader resolves a qualified reader ID to its environment and reader,
+// or nils when no registered environment deploys it.
+func (f *Fleet) reader(id string) (*Env, *reader.Reader) {
+	env, _, ok := strings.Cut(id, "/")
+	if !ok {
+		return nil, nil
+	}
+	e := f.lookup(env)
+	if e == nil {
+		return nil, nil
+	}
+	for _, r := range e.scenario.Readers {
+		if r.ID == id {
+			return e, r
+		}
+	}
+	return nil, nil
 }
 
 // Simulate drives an environment with generated LLRP rounds (two
@@ -718,8 +751,8 @@ func (f *Fleet) replayWAL(e *Env) error {
 	return nil
 }
 
-// Ready reports nil once every fleet-owned environment has confirmed
-// all its reader baselines — the /readyz hook for fleet mode.
+// Ready reports nil once every environment has confirmed all its
+// reader baselines, or started from a restored one — the /readyz hook.
 func (f *Fleet) Ready() error {
 	f.mu.Lock()
 	envs := make([]*Env, 0, len(f.envs))
@@ -728,8 +761,8 @@ func (f *Fleet) Ready() error {
 	}
 	f.mu.Unlock()
 	for _, e := range envs {
-		if e.adopted || e.pipe == nil {
-			continue
+		if e.pipe.Restored() {
+			continue // a saved baseline: no reader confirms one
 		}
 		st := e.pipe.Stats()
 		if st.BaselinesConfirmed < uint64(len(e.scenario.Readers)) {
@@ -758,20 +791,28 @@ func (f *Fleet) Infos() []serve.EnvInfo {
 }
 
 func (e *Env) info() serve.EnvInfo {
-	readers := len(e.scenario.Readers)
-	if e.adopted {
-		readers = e.adoptedReaders
-	}
 	name := e.scenario.Name
 	if name == e.id {
 		name = ""
 	}
 	return serve.EnvInfo{
 		ID: e.id, Name: name, Slot: e.slot,
-		Readers: readers, Tags: e.scenario.Cfg.Tags,
+		Readers: len(e.scenario.Readers), Tags: e.scenario.Cfg.Tags,
 		Fixes: e.fixes.Load(), Reports: e.reports.Load(),
 		Added: e.added,
 	}
+}
+
+// Stats adapts the registry to serve.WithFleetStats: one pipeline
+// snapshot per environment.
+func (f *Fleet) Stats() api.FleetStats {
+	out := api.FleetStats{}
+	for _, id := range f.IDs() {
+		if e := f.lookup(id); e != nil {
+			out[id] = e.stats()
+		}
+	}
+	return out
 }
 
 // EnvHandle adapts the registry to serve.WithEnvLookup.

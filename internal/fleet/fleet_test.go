@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"dwatch/internal/api"
 	"dwatch/internal/obs"
 	"dwatch/internal/pipeline"
 	"dwatch/internal/serve"
@@ -232,44 +231,12 @@ func TestFleetLoadDir(t *testing.T) {
 	}
 }
 
-// TestFleetAdopt: adopted environments appear in listings and handles
-// but their lifecycle stays with the caller.
-func TestFleetAdopt(t *testing.T) {
-	f := New()
-	defer f.Close()
-	stats := func() api.PipelineStats { return api.PipelineStats{ReportsIn: 7} }
-	e, err := f.Adopt("legacy", Adopted{Name: "hall", Readers: 4, Tags: 30, Stats: stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Pipeline() != nil {
-		t.Fatal("adopted env has a fleet pipeline")
-	}
-	info := f.Infos()[0]
-	if info.ID != "legacy" || info.Name != "hall" || info.Readers != 4 || info.Tags != 30 {
-		t.Fatalf("adopted info = %+v", info)
-	}
-	h, ok := f.EnvHandle("legacy")
-	if !ok || h.Stats == nil {
-		t.Fatal("adopted handle missing stats")
-	}
-	if err := f.Ready(); err != nil {
-		t.Fatalf("Ready with adopted env = %v", err)
-	}
-	if err := f.Remove("legacy"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestFleetClosed: lifecycle calls after Close fail cleanly.
 func TestFleetClosed(t *testing.T) {
 	f := New()
 	f.Close()
 	if _, err := f.Add("x", tableCfg(1)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Add after Close = %v, want ErrClosed", err)
-	}
-	if _, err := f.Adopt("x", Adopted{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Adopt after Close = %v, want ErrClosed", err)
 	}
 }
 

@@ -130,8 +130,9 @@ func (f HandlerFunc) Handle(conn *Conn, msg Message) error { return f(conn, msg)
 type Server struct {
 	Handler Handler
 
-	mu sync.Mutex
-	ln net.Listener
+	mu    sync.Mutex
+	ln    net.Listener
+	conns map[*Conn]struct{} // live connections, closed by Shutdown
 
 	wg sync.WaitGroup
 }
@@ -169,11 +170,14 @@ func (s *Server) Serve() error {
 			}
 			return err
 		}
-		s.wg.Add(1)
+		conn := NewConn(nc)
+		if !s.track(conn) {
+			conn.Close()
+			return ErrServerClosed
+		}
 		go func() {
 			defer s.wg.Done()
-			conn := NewConn(nc)
-			defer conn.Close()
+			defer s.untrack(conn)
 			// Greet like an LLRP reader-initiated event channel.
 			ev := ReaderEvent{Text: "connection established"}
 			if err := conn.SendWithID(MsgReaderEventNotification, 0, ev.Marshal()); err != nil {
@@ -199,12 +203,39 @@ func (s *Server) Serve() error {
 	}
 }
 
-// Shutdown stops the listener and waits for connection goroutines with
-// the context's deadline.
+// track registers a freshly accepted connection; it reports false once
+// Shutdown has begun, so no connection outlives it.
+func (s *Server) track(c *Conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.ln == nil {
+		return false
+	}
+	if s.conns == nil {
+		s.conns = map[*Conn]struct{}{}
+	}
+	s.conns[c] = struct{}{}
+	s.wg.Add(1)
+	return true
+}
+
+func (s *Server) untrack(c *Conn) {
+	c.Close()
+	s.mu.Lock()
+	delete(s.conns, c)
+	s.mu.Unlock()
+}
+
+// Shutdown stops the listener, closes every open connection, and waits
+// with the context's deadline for the connection goroutines to return
+// (a handler already running is not interrupted).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	ln := s.ln
 	s.ln = nil
+	for c := range s.conns {
+		c.Close()
+	}
 	s.mu.Unlock()
 	if ln != nil {
 		_ = ln.Close()

@@ -608,6 +608,10 @@ func (p *Pipeline) markClosed() bool {
 	return already
 }
 
+// Restored reports whether the pipeline started from a saved baseline
+// (WithRestored): its readers are online at once and confirm none.
+func (p *Pipeline) Restored() bool { return p.cfg.Restored != nil }
+
 // Fuser exposes the pipeline's evidence fuser. Only safe to inspect
 // after Drain (the assembler owns it while running).
 func (p *Pipeline) Fuser() *dwatch.Fuser { return p.asm.fuser }

@@ -47,7 +47,7 @@ type Summary struct {
 	BadReports     int    `json:"bad_reports"`     // payloads that failed to unmarshal
 	SourceError    string `json:"source_error,omitempty"`
 	// Damage is where a WAL source stopped trusting the log (nil for a
-	// clean scan and for legacy sources).
+	// clean scan).
 	Damage *wal.Damage `json:"damage,omitempty"`
 
 	// Pipeline outcome.
@@ -74,8 +74,8 @@ type Summary struct {
 
 // Run replays src through a fresh pipeline for dep and returns the
 // run's summary. The source is read to completion (or first damage);
-// a torn tail — legacy or WAL — ends the run cleanly rather than
-// failing it, mirroring recovery semantics. Run closes neither the
+// a torn tail ends the run cleanly rather than failing it, mirroring
+// recovery semantics. Run closes neither the
 // source nor anything else it did not create.
 func Run(src Source, dep pipeline.Deployment, opts Options) (*Summary, error) {
 	now := opts.now

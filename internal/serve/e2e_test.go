@@ -65,12 +65,12 @@ func genReports(tb testing.TB, sc *sim.Scenario, onlineRounds, snapshots int) []
 }
 
 // TestServePlaneEndToEnd wires the full observability plane the way
-// dwatchd does — registry into the pipeline, fix subscription into the
-// broker, readiness off baseline confirmations — then drives a
-// simulated session through the pipeline and asserts, over real HTTP:
-// readyz flips 503→200 at baseline confirmation, the SSE stream
-// delivers fixes as they fuse, /metrics exposes the pipeline families,
-// and /api/v1/stats serves the live snapshot.
+// the fleet does — registry into the pipeline, fix subscription into
+// the hub, one env handle, readiness off baseline confirmations — then
+// drives a simulated session through the pipeline and asserts, over
+// real HTTP: readyz flips 503→200 at baseline confirmation, the SSE
+// stream delivers fixes as they fuse, /metrics exposes the pipeline
+// families, and the env's stats route serves the live snapshot.
 func TestServePlaneEndToEnd(t *testing.T) {
 	sc, err := sim.Build(sim.TableConfig())
 	if err != nil {
@@ -101,12 +101,17 @@ func TestServePlaneEndToEnd(t *testing.T) {
 			Confidence: f.Confidence, Views: f.Views, TraceID: f.TraceID, Time: time.Now(),
 		})
 	})
+	env := EnvHandle{
+		Info:   EnvInfo{ID: sc.Name, Readers: len(arrays)},
+		Stats:  func() api.PipelineStats { return adapt.PipelineStats(p.Stats()) },
+		Tracer: tracer,
+		Health: mon,
+	}
 	srv := New(
 		WithRegistry(reg),
 		WithHub(hub),
-		WithTracer(tracer),
-		WithHealth(mon),
-		WithStats(func() api.PipelineStats { return adapt.PipelineStats(p.Stats()) }),
+		WithEnvs(func() []EnvInfo { return []EnvInfo{env.Info} }),
+		WithEnvLookup(func(id string) (EnvHandle, bool) { return env, id == sc.Name }),
 		WithReady(func() error {
 			if st := p.Stats(); st.BaselinesConfirmed < uint64(len(arrays)) {
 				return fmt.Errorf("baseline: %d/%d readers confirmed", st.BaselinesConfirmed, len(arrays))
@@ -163,7 +168,7 @@ func TestServePlaneEndToEnd(t *testing.T) {
 	// a full trace with spans from every pipeline stage.
 	client := api.NewClient(ts.URL)
 	client.Strict = true
-	td, err := client.Trace(context.Background(), "", fixes[0].TraceID)
+	td, err := client.Trace(context.Background(), sc.Name, fixes[0].TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +187,7 @@ func TestServePlaneEndToEnd(t *testing.T) {
 
 	// The RF-health endpoint reports both readers with live read rates,
 	// strict-decoded against the contract type.
-	hs, err := client.Health(context.Background(), "")
+	hs, err := client.Health(context.Background(), sc.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +223,7 @@ func TestServePlaneEndToEnd(t *testing.T) {
 	}
 
 	// Live stats agree with the pipeline through the typed client.
-	stats, err := client.EnvStats(context.Background(), "")
+	stats, err := client.EnvStats(context.Background(), sc.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,21 +13,17 @@ import (
 	"dwatch/internal/tracing"
 )
 
-// The multi-tenant routes. One serve plane fronts a whole fleet of
+// The per-environment routes. One serve plane fronts a whole fleet of
 // environments: /api/v1/envs lists them, and every per-deployment
-// endpoint is reachable env-scoped as /api/v1/{env}/... . The serve
-// plane stays decoupled from internal/fleet the same way it is
-// decoupled from the pipeline: it sees an env listing hook and a
-// lookup hook returning per-env handles, nothing more.
-//
-// The legacy single-deployment routes (/api/v1/positions, /stats, ...)
-// remain mounted and serve the aggregate (all environments' positions,
-// the process-wide stats hook), so a one-env fleet is indistinguishable
-// from the pre-fleet daemon.
+// endpoint lives env-scoped as /api/v1/{env}/... . The serve plane
+// stays decoupled from internal/fleet the same way it is decoupled
+// from the pipeline: it sees an env listing hook and a lookup hook
+// returning per-env handles, nothing more. Only the whole-fleet views
+// (/api/v1/positions, /api/v1/stats, /readyz) are process-wide.
 
 // EnvHandle bundles one environment's per-deployment hooks for the
-// env-scoped routes. Absent fields degrade exactly like the
-// process-wide Options fields (404 envelope with the matching code).
+// env-scoped routes. Absent fields degrade to a 404 envelope with the
+// matching code.
 type EnvHandle struct {
 	Info      EnvInfo
 	Stats     func() api.PipelineStats
@@ -44,13 +40,14 @@ func WithEnvLookup(fn func(id string) (EnvHandle, bool)) Option {
 	return func(o *Options) { o.Env = fn }
 }
 
-// WithHub feeds the position endpoints (legacy aggregate and
-// env-scoped) from the snapshot+delta broadcast hub.
+// WithHub feeds the position endpoints (whole-fleet and env-scoped)
+// from the snapshot+delta broadcast hub.
 func WithHub(h *Hub) Option { return func(o *Options) { o.Hub = h } }
 
-// handleEnvRoutes dispatches /api/v1/{env}/<endpoint>. The endpoint
-// set mirrors the legacy single-deployment API; anything else gets the
-// uniform 404 envelope (instead of ServeMux's plain-text default).
+// handleEnvRoutes dispatches /api/v1/{env}/<endpoint>: positions,
+// stats, health, wal, traces, and traces/{id} (?format=chrome renders
+// Chrome trace_event JSON). Anything else gets the uniform 404
+// envelope (instead of ServeMux's plain-text default).
 func (s *Server) handleEnvRoutes(w http.ResponseWriter, r *http.Request) {
 	rest := r.PathValue("rest")
 	switch {
@@ -218,8 +215,7 @@ func (s *Server) handleEnvTrace(w http.ResponseWriter, r *http.Request, id strin
 
 // streamHub serves an SSE position feed from the hub: the latest fix
 // per covered environment first, then every new frame as it publishes.
-// env == "" streams the whole fleet (the legacy /api/v1/positions
-// behavior). Frames are pre-marshaled by Publish, so each write is a
+// env == "" streams the whole fleet (/api/v1/positions). Frames are pre-marshaled by Publish, so each write is a
 // copy of shared bytes — the per-subscriber cost is exactly the fanout
 // bytes.
 func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, env string) {

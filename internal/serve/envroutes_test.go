@@ -153,8 +153,8 @@ func TestEnvStatsIsolation(t *testing.T) {
 
 // TestEnvPositionsIsolation is the acceptance test for tenant
 // isolation on the read side: room-a's JSON body and SSE stream carry
-// only room-a fixes while room-b publishes interleave, and the legacy
-// aggregate route still sees the whole fleet.
+// only room-a fixes while room-b publishes interleave, and the
+// whole-fleet route still sees both.
 func TestEnvPositionsIsolation(t *testing.T) {
 	srv, hub := fleetFixture(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -213,7 +213,7 @@ func TestEnvPositionsIsolation(t *testing.T) {
 	}
 
 	// JSON bodies: env-scoped routes carry exactly their env; the
-	// legacy aggregate carries both.
+	// whole-fleet route carries both.
 	get := func(path string) []Position {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -242,9 +242,9 @@ func TestEnvPositionsIsolation(t *testing.T) {
 	}
 }
 
-// TestLegacyPositionsSSEViaHub: the pre-fleet stream endpoint keeps
-// working when a Hub (not a Broker) is wired, delivering fixes from
-// every environment.
+// TestLegacyPositionsSSEViaHub: the whole-fleet stream endpoint,
+// wired to a Hub (not a Broker), delivers fixes from every
+// environment.
 func TestLegacyPositionsSSEViaHub(t *testing.T) {
 	srv, hub := fleetFixture(t)
 	ts := httptest.NewServer(srv.Handler())

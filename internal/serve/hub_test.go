@@ -204,10 +204,11 @@ func TestHubConcurrentPublishWatch(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for _, env := range envs {
+		// Attach before any publish, so the final seq is observable.
+		w := h.Watch(env)
 		wg.Add(1)
 		go func(env string) {
 			defer wg.Done()
-			w := h.Watch(env)
 			defer w.Close()
 			deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
@@ -234,8 +235,6 @@ func TestHubConcurrentPublishWatch(t *testing.T) {
 			}
 		}(env)
 	}
-	// Give watchers a beat to attach so the final seq is observable.
-	time.Sleep(10 * time.Millisecond)
 	for _, env := range envs {
 		wg.Add(1)
 		go func(env string) {

@@ -8,26 +8,20 @@
 //	/healthz           liveness: 200 as long as the process serves
 //	/readyz            readiness: 503 until the Ready hook passes
 //	                   (dwatchd: every reader's baseline confirmed)
-//	/api/v1/stats      JSON snapshot from the Stats hook
-//	                   (api.PipelineStats, or api.FleetStats in fleet mode)
+//	/api/v1/stats      api.FleetStats: one pipeline snapshot per environment
 //	/api/v1/positions  latest fix per environment (JSON), or a live
-//	                   Server-Sent-Events stream of new fixes when the
-//	                   client asks for text/event-stream (or ?stream=1);
-//	                   idle streams carry ": keepalive" comment frames
-//	/api/v1/traces     retained sequence traces, newest first
-//	/api/v1/traces/{id} one trace's spans and events; ?format=chrome
-//	                   renders Chrome trace_event JSON for chrome://tracing
-//	/api/v1/health     RF-health snapshot: per-(reader, tag) read rates,
-//	                   path-power baselines, drift flags, calibration
-//	                   residuals
-//	/api/v1/wal        ingest WAL status: segments, bytes, fsync policy,
-//	                   recovery outcome (records recovered, torn-tail
-//	                   bytes truncated, damage location)
+//	                   Server-Sent-Events stream of every environment's
+//	                   new fixes when the client asks for
+//	                   text/event-stream (or ?stream=1); idle streams
+//	                   carry ": keepalive" comment frames
+//	/api/v1/envs       the environment listing
+//	/api/v1/{env}/...  one environment's positions, stats, traces, RF
+//	                   health, and WAL status (see envroutes.go)
 //	/api/v1/cluster    cluster view (api.ClusterStatus) when this node
 //	                   runs in cluster mode
 //	/api/v1/profiles   continuous-profiling ring listing (newest first),
 //	                   /api/v1/profiles/{name} fetches one raw pprof
-//	/debug/pprof/*     net/http/pprof, absorbed from the old -pprof flag
+//	/debug/pprof/*     net/http/pprof
 //
 // Every JSON body is a type from internal/api — the versioned wire
 // contract shared with the gateway, the typed client, and the smoke
@@ -54,10 +48,7 @@ import (
 	"time"
 
 	"dwatch/internal/api"
-	"dwatch/internal/api/adapt"
-	"dwatch/internal/health"
 	"dwatch/internal/obs"
-	"dwatch/internal/tracing"
 )
 
 // Options configures a Server. Every field is optional: endpoints
@@ -67,11 +58,8 @@ type Options struct {
 	// Registry backs /metrics; the server also registers its own
 	// request counters on it when present.
 	Registry *obs.Registry
-	// Stats supplies the /api/v1/stats payload for a single-deployment
-	// daemon; it is re-invoked per request.
-	Stats func() api.PipelineStats
-	// FleetStats supplies the /api/v1/stats payload for a multi-env
-	// fleet (one snapshot per environment); wins over Stats when set.
+	// FleetStats supplies the /api/v1/stats payload (one snapshot per
+	// environment); it is re-invoked per request.
 	FleetStats func() api.FleetStats
 	// Ready gates /readyz: nil error (or a nil hook) means ready.
 	Ready func() error
@@ -89,13 +77,6 @@ type Options struct {
 	// Env resolves one environment's handle for the /api/v1/{env}/*
 	// routes (typically fleet.Fleet.EnvHandle).
 	Env func(id string) (EnvHandle, bool)
-	// Tracer feeds /api/v1/traces and /api/v1/traces/{id}.
-	Tracer *tracing.Tracer
-	// Health feeds /api/v1/health.
-	Health *health.Monitor
-	// WALStatus supplies the /api/v1/wal payload (typically adapted
-	// from wal.WAL.Status()); it is re-invoked per request.
-	WALStatus func() api.WALStatus
 	// Cluster supplies the /api/v1/cluster payload when the daemon runs
 	// as a cluster node (or gateway); absent = 404.
 	Cluster func() api.ClusterStatus
@@ -118,10 +99,7 @@ type Option func(*Options)
 // WithRegistry backs /metrics (and request counting) with reg.
 func WithRegistry(reg *obs.Registry) Option { return func(o *Options) { o.Registry = reg } }
 
-// WithStats supplies the single-deployment /api/v1/stats payload hook.
-func WithStats(fn func() api.PipelineStats) Option { return func(o *Options) { o.Stats = fn } }
-
-// WithFleetStats supplies the fleet-mode /api/v1/stats payload hook.
+// WithFleetStats supplies the /api/v1/stats payload hook.
 func WithFleetStats(fn func() api.FleetStats) Option {
 	return func(o *Options) { o.FleetStats = fn }
 }
@@ -134,17 +112,6 @@ func WithReaders(fn func() []ReaderStatus) Option { return func(o *Options) { o.
 
 // WithDegraded supplies the degraded-mode flag for /readyz.
 func WithDegraded(fn func() bool) Option { return func(o *Options) { o.Degraded = fn } }
-
-// WithTracer feeds /api/v1/traces from tr.
-func WithTracer(tr *tracing.Tracer) Option { return func(o *Options) { o.Tracer = tr } }
-
-// WithHealth feeds /api/v1/health from m.
-func WithHealth(m *health.Monitor) Option { return func(o *Options) { o.Health = m } }
-
-// WithWALStatus supplies the /api/v1/wal payload hook.
-func WithWALStatus(fn func() api.WALStatus) Option {
-	return func(o *Options) { o.WALStatus = fn }
-}
 
 // WithCluster supplies the /api/v1/cluster payload hook.
 func WithCluster(fn func() api.ClusterStatus) Option {
@@ -192,18 +159,13 @@ func New(opts ...Option) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/api/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/api/v1/positions", s.handlePositions)
-	s.mux.HandleFunc("/api/v1/traces", s.handleTraces)
-	s.mux.HandleFunc("/api/v1/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("/api/v1/health", s.handleRFHealth)
-	s.mux.HandleFunc("/api/v1/wal", s.handleWAL)
 	s.mux.HandleFunc("/api/v1/cluster", s.handleCluster)
 	s.mux.HandleFunc("/api/v1/profiles", s.handleProfiles)
 	s.mux.HandleFunc("/api/v1/profiles/{name}", s.handleProfile)
-	// Multi-tenant routes. One catch-all wildcard dispatches the
+	// Per-environment routes. One catch-all wildcard dispatches the
 	// env-scoped endpoints (ServeMux cannot rank /api/v1/{env}/stats
-	// against /api/v1/traces/{id}, but every literal pattern above
-	// matches a strict subset of this one and therefore wins), so the
-	// legacy single-deployment API is untouched by the fleet surface.
+	// against /api/v1/profiles/{name}, but every literal pattern above
+	// matches a strict subset of this one and therefore wins).
 	s.mux.HandleFunc("/api/v1/envs", s.handleEnvs)
 	s.mux.HandleFunc("/api/v1/{env}/{rest...}", s.handleEnvRoutes)
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -230,12 +192,9 @@ func endpointLabel(path string) string {
 	switch {
 	case path == "/healthz", path == "/readyz", path == "/metrics",
 		path == "/api/v1/stats", path == "/api/v1/positions",
-		path == "/api/v1/traces", path == "/api/v1/health",
-		path == "/api/v1/wal", path == "/api/v1/envs",
-		path == "/api/v1/cluster", path == "/api/v1/profiles":
+		path == "/api/v1/envs", path == "/api/v1/cluster",
+		path == "/api/v1/profiles":
 		return path
-	case strings.HasPrefix(path, "/api/v1/traces/"):
-		return "/api/v1/traces/{id}"
 	case strings.HasPrefix(path, "/api/v1/profiles/"):
 		return "/api/v1/profiles/{name}"
 	case strings.HasPrefix(path, "/api/v1/cluster/"):
@@ -335,15 +294,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%s not allowed on /api/v1/stats", r.Method))
 		return
 	}
-	switch {
-	case s.opts.FleetStats != nil:
-		writeJSON(w, s.opts.FleetStats())
-	case s.opts.Stats != nil:
-		writeJSON(w, s.opts.Stats())
-	default:
+	if s.opts.FleetStats == nil {
 		writeError(w, http.StatusNotFound, "stats_unavailable",
 			"no stats hook configured on this deployment")
+		return
 	}
+	writeJSON(w, s.opts.FleetStats())
 }
 
 func (s *Server) handlePositions(w http.ResponseWriter, r *http.Request) {
@@ -362,92 +318,6 @@ func (s *Server) handlePositions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, api.PositionsResponse{Positions: s.opts.Hub.Latest()})
-}
-
-// handleTraces lists retained sequence traces (newest first), or
-// renders every retained trace as one Chrome trace_event document with
-// ?format=chrome.
-func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("%s not allowed on /api/v1/traces", r.Method))
-		return
-	}
-	if s.opts.Tracer == nil {
-		writeError(w, http.StatusNotFound, "traces_unavailable",
-			"no tracer configured on this deployment")
-		return
-	}
-	if r.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := tracing.WriteChrome(w, s.opts.Tracer.Snapshots()); err != nil {
-			s.logf("traces: %v", err)
-		}
-		return
-	}
-	writeJSON(w, api.TracesResponse{Traces: adapt.TraceSummaries(s.opts.Tracer.Traces())})
-}
-
-// handleTrace resolves one trace ID to its full span/event record; with
-// ?format=chrome it renders that single trace for chrome://tracing.
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("%s not allowed on /api/v1/traces/{id}", r.Method))
-		return
-	}
-	if s.opts.Tracer == nil {
-		writeError(w, http.StatusNotFound, "traces_unavailable",
-			"no tracer configured on this deployment")
-		return
-	}
-	id := r.PathValue("id")
-	d, ok := s.opts.Tracer.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "trace_not_found",
-			fmt.Sprintf("trace %q is not retained (expired from the ring, or never existed)", id))
-		return
-	}
-	if r.URL.Query().Get("format") == "chrome" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := tracing.WriteChrome(w, []tracing.Data{d}); err != nil {
-			s.logf("traces: %v", err)
-		}
-		return
-	}
-	writeJSON(w, adapt.Trace(d))
-}
-
-// handleRFHealth serves the RF-health snapshot: read rates, path-power
-// baselines, drift flags, and calibration residuals per reader.
-func (s *Server) handleRFHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("%s not allowed on /api/v1/health", r.Method))
-		return
-	}
-	if s.opts.Health == nil {
-		writeError(w, http.StatusNotFound, "health_unavailable",
-			"no RF-health monitor configured on this deployment")
-		return
-	}
-	writeJSON(w, adapt.RFHealth(s.opts.Health.Snapshot()))
-}
-
-// handleWAL serves the ingest WAL status: on-disk footprint, fsync
-// policy, and what recovery found at the last open.
-func (s *Server) handleWAL(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet && r.Method != http.MethodHead {
-		writeError(w, http.StatusMethodNotAllowed, "method_not_allowed",
-			fmt.Sprintf("%s not allowed on /api/v1/wal", r.Method))
-		return
-	}
-	if s.opts.WALStatus == nil {
-		writeError(w, http.StatusNotFound, "wal_unavailable",
-			"no ingest WAL configured on this deployment (start dwatchd with -wal-dir)")
-		return
-	}
-	writeJSON(w, s.opts.WALStatus())
 }
 
 // handleCluster serves the cluster view: membership and assignments on

@@ -87,14 +87,16 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestStatsJSON: the single-deployment stats hook serves an
+// TestStatsJSON: an environment's stats hook serves an
 // api.PipelineStats, decodable by the typed client's contract.
 func TestStatsJSON(t *testing.T) {
-	s := New(WithStats(func() api.PipelineStats {
-		return api.PipelineStats{ReportsIn: 12, Fixes: 3}
-	}))
+	env := EnvHandle{
+		Info:  EnvInfo{ID: "hall"},
+		Stats: func() api.PipelineStats { return api.PipelineStats{ReportsIn: 12, Fixes: 3} },
+	}
+	s := New(WithEnvLookup(func(id string) (EnvHandle, bool) { return env, id == "hall" }))
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/stats", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/hall/stats", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("stats = %d", rr.Code)
 	}
@@ -109,13 +111,10 @@ func TestStatsJSON(t *testing.T) {
 		t.Fatalf("stats round-trip = %+v", got)
 	}
 
-	// Fleet mode: the FleetStats hook wins and serves the per-env map.
-	fs := New(
-		WithStats(func() api.PipelineStats { return api.PipelineStats{} }),
-		WithFleetStats(func() api.FleetStats {
-			return api.FleetStats{"site-a": {Fixes: 9}}
-		}),
-	)
+	// The process-wide route serves the per-env map.
+	fs := New(WithFleetStats(func() api.FleetStats {
+		return api.FleetStats{"site-a": {Fixes: 9}}
+	}))
 	rr = httptest.NewRecorder()
 	fs.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/stats", nil))
 	var fleet api.FleetStats
@@ -282,15 +281,19 @@ func TestStartShutdown(t *testing.T) {
 	}
 }
 
-// TestWALStatusJSON: /api/v1/wal serves the api.WALStatus the hook
-// returns (dwatchd adapts wal.WAL.Status), and 404s with the standard
-// error envelope when no WAL is configured.
+// TestWALStatusJSON: /api/v1/{env}/wal serves the api.WALStatus the
+// env's hook returns (the fleet adapts wal.WAL.Status), and 404s with
+// the standard error envelope when the env has no WAL.
 func TestWALStatusJSON(t *testing.T) {
-	s := New(WithWALStatus(func() api.WALStatus {
-		return api.WALStatus{Segments: 2, Recovered: 7, Fsync: "interval"}
-	}))
+	envs := map[string]EnvHandle{
+		"hall": {Info: EnvInfo{ID: "hall"}, WALStatus: func() api.WALStatus {
+			return api.WALStatus{Segments: 2, Recovered: 7, Fsync: "interval"}
+		}},
+		"lab": {Info: EnvInfo{ID: "lab"}},
+	}
+	s := New(WithEnvLookup(func(id string) (EnvHandle, bool) { h, ok := envs[id]; return h, ok }))
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/wal", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/hall/wal", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("wal = %d", rr.Code)
 	}
@@ -303,14 +306,13 @@ func TestWALStatusJSON(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/api/v1/wal", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("POST", "/api/v1/hall/wal", nil))
 	if rr.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST wal = %d, want 405", rr.Code)
 	}
 
-	none := New()
 	rr = httptest.NewRecorder()
-	none.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/wal", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/lab/wal", nil))
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("hookless wal = %d, want 404", rr.Code)
 	}
@@ -319,8 +321,8 @@ func TestWALStatusJSON(t *testing.T) {
 	}
 
 	// The endpoint participates in bounded-cardinality request counting.
-	if endpointLabel("/api/v1/wal") != "/api/v1/wal" {
-		t.Fatal("/api/v1/wal not a known endpoint label")
+	if endpointLabel("/api/v1/hall/wal") != "/api/v1/{env}/wal" {
+		t.Fatal("/api/v1/{env}/wal not a known endpoint label")
 	}
 }
 

@@ -15,8 +15,9 @@ import (
 	"dwatch/internal/tracing"
 )
 
-// tracedServer builds a server with one finished trace and one RF
-// observation behind it, returning the trace ID.
+// tracedServer builds a server whose environment "lab" has one
+// finished trace and one RF observation behind it, returning the trace
+// ID.
 func tracedServer(t *testing.T) (*Server, string) {
 	t.Helper()
 	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
@@ -33,14 +34,15 @@ func tracedServer(t *testing.T) (*Server, string) {
 	mon.Observe("r1", "\xaa\x01", sp, base)
 	mon.Observe("r1", "\xaa\x01", sp, base.Add(100*time.Millisecond))
 
-	return New(WithTracer(tr), WithHealth(mon)), h.ID()
+	env := EnvHandle{Info: EnvInfo{ID: "lab"}, Tracer: tr, Health: mon}
+	return New(WithEnvLookup(func(id string) (EnvHandle, bool) { return env, id == "lab" })), h.ID()
 }
 
 func TestTracesListAndDetail(t *testing.T) {
 	s, id := tracedServer(t)
 
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/traces", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/lab/traces", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("list status = %d", rr.Code)
 	}
@@ -55,7 +57,7 @@ func TestTracesListAndDetail(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/traces/"+id, nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/lab/traces/"+id, nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("detail status = %d: %s", rr.Code, rr.Body.String())
 	}
@@ -68,7 +70,7 @@ func TestTracesListAndDetail(t *testing.T) {
 	}
 
 	rr = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/traces/no-such-id", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/lab/traces/no-such-id", nil))
 	if rr.Code != http.StatusNotFound {
 		t.Fatalf("missing trace status = %d", rr.Code)
 	}
@@ -80,7 +82,7 @@ func TestTracesListAndDetail(t *testing.T) {
 
 func TestTracesChromeFormat(t *testing.T) {
 	s, id := tracedServer(t)
-	for _, url := range []string{"/api/v1/traces?format=chrome", "/api/v1/traces/" + id + "?format=chrome"} {
+	for _, url := range []string{"/api/v1/lab/traces?format=chrome", "/api/v1/lab/traces/" + id + "?format=chrome"} {
 		rr := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
 		if rr.Code != http.StatusOK {
@@ -104,13 +106,25 @@ func TestTracesChromeFormat(t *testing.T) {
 	}
 }
 
+// TestTracesUnconfigured: an environment without a tracer or health
+// monitor answers those routes with a 404 envelope naming what is
+// missing.
 func TestTracesUnconfigured(t *testing.T) {
-	s := New()
-	for _, url := range []string{"/api/v1/traces", "/api/v1/traces/x", "/api/v1/health"} {
+	env := EnvHandle{Info: EnvInfo{ID: "lab"}}
+	s := New(WithEnvLookup(func(id string) (EnvHandle, bool) { return env, id == "lab" }))
+	for url, code := range map[string]string{
+		"/api/v1/lab/traces":   "traces_unavailable",
+		"/api/v1/lab/traces/x": "traces_unavailable",
+		"/api/v1/lab/health":   "health_unavailable",
+	} {
 		rr := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
 		if rr.Code != http.StatusNotFound {
 			t.Fatalf("%s without hooks: status %d", url, rr.Code)
+		}
+		var e api.Error
+		if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error.Code != code {
+			t.Fatalf("%s envelope: %s (err %v), want code %s", url, rr.Body.String(), err, code)
 		}
 	}
 }
@@ -118,7 +132,7 @@ func TestTracesUnconfigured(t *testing.T) {
 func TestRFHealthEndpoint(t *testing.T) {
 	s, _ := tracedServer(t)
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/health", nil))
+	s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/api/v1/lab/health", nil))
 	if rr.Code != http.StatusOK {
 		t.Fatalf("health status = %d", rr.Code)
 	}

@@ -168,6 +168,23 @@ func TableConfig() Config {
 	}
 }
 
+// Preset returns the named deployment preset: library, laboratory (or
+// lab), hall, or table. The config's Name is the canonical spelling.
+func Preset(name string) (Config, error) {
+	switch name {
+	case "library":
+		return LibraryConfig(), nil
+	case "laboratory", "lab":
+		return LaboratoryConfig(), nil
+	case "hall":
+		return HallConfig(), nil
+	case "table":
+		return TableConfig(), nil
+	default:
+		return Config{}, fmt.Errorf("unknown environment %q (want library, laboratory, hall, or table)", name)
+	}
+}
+
 // Build instantiates a scenario from a config.
 func Build(cfg Config) (*Scenario, error) {
 	if cfg.Width <= 0 || cfg.Depth <= 0 {

@@ -5,6 +5,27 @@ import (
 	"testing"
 )
 
+func TestPreset(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"library", "library"},
+		{"laboratory", "laboratory"},
+		{"lab", "laboratory"},
+		{"hall", "hall"},
+		{"table", "table"},
+	} {
+		cfg, err := Preset(tc.in)
+		if err != nil {
+			t.Fatalf("Preset(%q): %v", tc.in, err)
+		}
+		if cfg.Name != tc.want {
+			t.Errorf("Preset(%q).Name = %q, want %q", tc.in, cfg.Name, tc.want)
+		}
+	}
+	if _, err := Preset("atrium"); err == nil {
+		t.Fatal("Preset of an unknown name succeeded")
+	}
+}
+
 func TestBuildPresets(t *testing.T) {
 	for _, cfg := range []Config{LibraryConfig(), LaboratoryConfig(), HallConfig(), TableConfig()} {
 		sc, err := Build(cfg)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"dwatch/internal/llrp"
 	"dwatch/internal/obs"
 )
 
@@ -421,56 +420,6 @@ func TestObsMetrics(t *testing.T) {
 	}
 }
 
-func TestConvertLegacy(t *testing.T) {
-	// Write a legacy DWRL stream with the deprecated RecordWriter...
-	var legacy bytes.Buffer
-	rw := llrp.NewRecordWriter(&legacy)
-	base := time.UnixMicro(1_650_000_000_000_000)
-	msgs := []llrp.Message{
-		{Type: llrp.MsgROAccessReport, Payload: []byte("report-1")},
-		{Type: llrp.MsgKeepalive, Payload: nil},
-		{Type: llrp.MsgROAccessReport, Payload: []byte("report-2")},
-	}
-	for i, m := range msgs {
-		if err := rw.Record(base.Add(time.Duration(i)*time.Second), m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// ...convert it, and expect the same messages out of the WAL.
-	dir := t.TempDir()
-	w, err := Open(dir, WithFsync(FsyncNever))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := ConvertLegacy(&legacy, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(msgs) {
-		t.Fatalf("converted %d records, want %d", n, len(msgs))
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got, res := readAll(t, dir)
-	if res.Damage != nil || len(got) != len(msgs) {
-		t.Fatalf("read %d records (damage %v)", len(got), res.Damage)
-	}
-	for i, m := range msgs {
-		if got[i].Type != m.Type || !bytes.Equal(got[i].Payload, m.Payload) {
-			t.Fatalf("record %d: got type=%d payload=%q, want type=%d payload=%q",
-				i, got[i].Type, got[i].Payload, m.Type, m.Payload)
-		}
-		if !got[i].At.Equal(base.Add(time.Duration(i) * time.Second)) {
-			t.Fatalf("record %d timestamp not preserved: %v", i, got[i].At)
-		}
-	}
-}
-
 // corruptAt flips one byte in the named segment at the given offset.
 func corruptAt(t *testing.T, dir, seg string, off int64) {
 	t.Helper()
@@ -543,65 +492,5 @@ func TestRecordEncodingGolden(t *testing.T) {
 	}
 	if !bytes.Equal(body[18:], []byte{0xAA, 0xBB}) {
 		t.Fatalf("payload %x", body[18:])
-	}
-}
-
-// TestConvertLegacyDir batch-converts a corpus of legacy fixtures into
-// per-stem WAL directories — the fleet-shaped layout dwatch-replay
-// -convert produces when -in is a directory.
-func TestConvertLegacyDir(t *testing.T) {
-	src := t.TempDir()
-	base := time.UnixMicro(1_650_000_000_000_000)
-	write := func(name string, payloads ...string) {
-		f, err := os.Create(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rw := llrp.NewRecordWriter(f)
-		for i, p := range payloads {
-			m := llrp.Message{Type: llrp.MsgROAccessReport, Payload: []byte(p)}
-			if err := rw.Record(base.Add(time.Duration(i)*time.Second), m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := rw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("site-a.dwrl", "a1", "a2", "a3")
-	write("site-b.dwrl", "b1")
-	if err := os.WriteFile(filepath.Join(src, "notes.txt"), []byte("ignored"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	dst := t.TempDir()
-	counts, err := ConvertLegacyDir(src, dst, WithFsync(FsyncNever))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(counts) != 2 || counts["site-a"] != 3 || counts["site-b"] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	for stem, want := range map[string][]string{
-		"site-a": {"a1", "a2", "a3"},
-		"site-b": {"b1"},
-	} {
-		recs, res := readAll(t, filepath.Join(dst, stem))
-		if res.Damage != nil || len(recs) != len(want) {
-			t.Fatalf("%s: read %d records (damage %v)", stem, len(recs), res.Damage)
-		}
-		for i, p := range want {
-			if string(recs[i].Payload) != p {
-				t.Fatalf("%s record %d = %q, want %q", stem, i, recs[i].Payload, p)
-			}
-			if !recs[i].At.Equal(base.Add(time.Duration(i) * time.Second)) {
-				t.Fatalf("%s record %d timestamp not preserved", stem, i)
-			}
-		}
-	}
-
-	// An empty corpus is an explicit error, not a silent no-op.
-	if _, err := ConvertLegacyDir(t.TempDir(), t.TempDir()); err == nil {
-		t.Fatal("empty corpus converted without error")
 	}
 }

@@ -46,7 +46,7 @@ echo "== recording a simulated run into $WALDIR"
 PID=$!
 
 i=0
-until fetch_body "http://$HTTP_ADDR/api/v1/wal" |
+until fetch_body "http://$HTTP_ADDR/api/v1/table/wal" |
     grep -Eq '"appended_records": *([3-9][0-9]|[0-9]{3,})'; do
     i=$((i + 1))
     if [ "$i" -ge 200 ]; then
@@ -72,7 +72,7 @@ field() {
 
 replay() {
     # $1 = output json, $2 = eigensolver, $3 = shard count
-    "$WORK/dwatch-replay" -wal-dir "$WALDIR" -env table -json \
+    "$WORK/dwatch-replay" -wal-dir "$WALDIR/table" -env table -json \
         -eigensolver "$2" -asm-shards "$3" >"$1"
 }
 

@@ -2,13 +2,13 @@
 # replay-smoke: the durability gate at the binary level. Records a
 # simulated run into an ingest WAL, kills dwatchd with SIGKILL
 # mid-stream (the crash a durable log exists for), restarts it and
-# asserts the WAL recovered via /api/v1/wal, then replays the capture
+# asserts the WAL recovered via /api/v1/table/wal, then replays the capture
 # unthrottled twice with dwatch-replay and asserts the fix parity
 # hashes agree — the same determinism contract the in-process e2e
 # tests pin, but exercised through the real binaries and real files.
 set -eu
 
-HTTP_ADDR="${HTTP_ADDR:-127.0.0.1:18081}"
+HTTP_ADDR="${HTTP_ADDR:-127.0.0.1:18083}"
 LLRP_ADDR="${LLRP_ADDR:-127.0.0.1:15085}"
 WORK="$(mktemp -d)"
 WALDIR="$WORK/wal"
@@ -39,7 +39,7 @@ PID=$!
 
 # Wait until a healthy number of reports has been appended, then crash.
 i=0
-until fetch_body "http://$HTTP_ADDR/api/v1/wal" |
+until fetch_body "http://$HTTP_ADDR/api/v1/table/wal" |
     grep -Eq '"appended_records": *(1[2-9]|[2-9][0-9]|[0-9]{3,})'; do
     i=$((i + 1))
     if [ "$i" -ge 200 ]; then
@@ -59,7 +59,7 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 PID=
 
-if [ -z "$(ls "$WALDIR"/*.wal 2>/dev/null)" ]; then
+if [ -z "$(ls "$WALDIR"/table/*.wal 2>/dev/null)" ]; then
     echo "FAIL: no WAL segments survived the crash" >&2
     exit 1
 fi
@@ -71,12 +71,12 @@ echo "== restarting dwatchd over the crashed WAL"
 PID=$!
 
 i=0
-until fetch_body "http://$HTTP_ADDR/api/v1/wal" |
+until fetch_body "http://$HTTP_ADDR/api/v1/table/wal" |
     grep -Eq '"recovered_records": *[1-9]'; do
     i=$((i + 1))
     if [ "$i" -ge 100 ]; then
         echo "FAIL: restart never reported recovered records" >&2
-        fetch_body "http://$HTTP_ADDR/api/v1/wal" >&2
+        fetch_body "http://$HTTP_ADDR/api/v1/table/wal" >&2
         cat "$LOG" >&2
         exit 1
     fi
@@ -98,8 +98,8 @@ parity() {
 }
 
 echo "== replaying the WAL unthrottled, twice"
-"$WORK/dwatch-replay" -wal-dir "$WALDIR" -env table -json >"$WORK/run1.json"
-"$WORK/dwatch-replay" -wal-dir "$WALDIR" -env table -json >"$WORK/run2.json"
+"$WORK/dwatch-replay" -wal-dir "$WALDIR/table" -env table -json >"$WORK/run1.json"
+"$WORK/dwatch-replay" -wal-dir "$WALDIR/table" -env table -json >"$WORK/run2.json"
 
 P1="$(parity "$WORK/run1.json")"
 P2="$(parity "$WORK/run2.json")"
