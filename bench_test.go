@@ -481,6 +481,10 @@ func BenchmarkBeamPower(b *testing.B) {
 // beamformer reusing the subspace stage's R̂. Their ratio is the
 // single-spectrum speedup acceptance number; solver= under
 // BenchmarkMusicSpectrum isolates just the eigensolver's share.
+// path=monitored is what an online tag costs once its reader's
+// baseline is confirmed: the same snapshot's R̂ and the Eq. 13 beam
+// power at three grid indices (Workspace.BeamAt), bit-identical to
+// path=current's Beam there.
 func BenchmarkPMusicSpectrum(b *testing.B) {
 	x, arr := benchSnapshotMatrix(b)
 	b.Run("path=pre-qr", func(b *testing.B) {
@@ -517,6 +521,22 @@ func BenchmarkPMusicSpectrum(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := ws.Compute(rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("path=monitored", func(b *testing.B) {
+		ws, err := pmusic.NewWorkspace(arr, pmusic.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := x.RowViews()
+		idx := []int{60, 180, 300}
+		out := make([]float64, len(idx))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := ws.BeamAt(rows, idx, out); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -79,11 +79,26 @@ func TestFederationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "loser adoption", func() bool { return len(nodeL.fleet.IDs()) == 2 })
+	// Online rounds keep one full spectrum per reader for the RF-health
+	// monitor, round-robin over the reader's baseline tags, so hall is
+	// driven through at least one health cycle of the table preset's
+	// tags before its drift is asserted.
+	const rounds = 30
 	for _, id := range []string{env, "aux-l"} {
-		if err := nodeL.fleet.Simulate(ctx, id, 1, 4, 0); err != nil {
+		if err := nodeL.fleet.Simulate(ctx, id, rounds, 4, 0); err != nil {
 			t.Fatal(err)
 		}
-		waitFor(t, id+" fix", func() bool { _, ok := nodeL.hub.LatestForEnv(id); return ok })
+		waitFor(t, id+" fusions", func() bool {
+			e, ok := nodeL.fleet.Env(id)
+			if !ok {
+				return false
+			}
+			st := e.Pipeline().Stats()
+			return st.Fixes+st.Misses == rounds
+		})
+		if _, ok := nodeL.hub.LatestForEnv(id); !ok {
+			t.Fatalf("%s: no fix published", id)
+		}
 	}
 
 	gw.ScrapeOnce(ctx)

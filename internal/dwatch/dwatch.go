@@ -273,7 +273,9 @@ func (s *System) CollectBaseline() error {
 			}
 		}
 	}
-	fuser.FinishBaseline()
+	for _, r := range s.Scenario.Readers {
+		fuser.FinishBaseline(r.ID)
+	}
 	s.fuser = fuser
 	return nil
 }
@@ -290,7 +292,7 @@ func (s *System) Views(targets []channel.Target) ([]*loc.View, error) {
 	}
 	views := make([]*loc.View, 0, len(s.Scenario.Readers))
 	for _, r := range s.Scenario.Readers {
-		if v := s.fuser.BuildView(r.ID, online[r.ID]); v != nil {
+		if v := s.fuser.BuildView(r.ID, s.fuser.Evidence(r.ID, online[r.ID])); v != nil {
 			views = append(views, v)
 		}
 	}

@@ -10,11 +10,17 @@ import (
 	"dwatch/internal/rf"
 )
 
-// Fuser turns per-reader, per-tag P-MUSIC spectra into the drop views
+// Fuser turns per-reader, per-tag P-MUSIC evidence into the drop views
 // the localizer consumes. It owns the baseline stability filtering of
 // Step 1 and the peak-drop evidence rendering of Step 3, independent of
-// how the spectra were obtained — the in-process System feeds it from
-// simulated acquisitions, the dwatchd network server from LLRP reports.
+// how the evidence was obtained — the in-process System samples it
+// from full simulated spectra (Evidence), the streaming pipeline
+// computes it straight from LLRP snapshots at the monitored peaks.
+//
+// Baseline rounds take full spectra. After its baseline, a reader's
+// online evidence is one Eq. 13 beam power per monitored peak: for
+// each tag, online[epc][i] is the beam power at MonitoredPeaks(reader,
+// epc)[i].Index.
 type Fuser struct {
 	cfg    Config
 	arrays map[string]*rf.Array
@@ -76,31 +82,30 @@ func (f *Fuser) AddBaseline(readerID string, epc []byte, sp *pmusic.Spectrum) {
 	f.monitored[readerID][key] = stable
 }
 
-// FinishBaseline applies the reader-wide absolute peak floor: monitored
+// FinishBaseline applies a reader's absolute peak floor: monitored
 // peaks more than MinAbsPeakFrac below the reader's strongest peak sit
 // in the coherent-sidelobe floor of stronger paths and are discarded.
-// Call once after all baseline spectra are fed.
-func (f *Fuser) FinishBaseline() {
-	for rid, mon := range f.monitored {
-		var readerMax float64
-		for _, peaks := range mon {
-			for _, p := range peaks {
-				if p.Amplitude > readerMax {
-					readerMax = p.Amplitude
-				}
+// Call once per reader after all of its baseline spectra are fed; it
+// leaves every other reader's monitored set as it is.
+func (f *Fuser) FinishBaseline(readerID string) {
+	mon := f.monitored[readerID]
+	var readerMax float64
+	for _, peaks := range mon {
+		for _, p := range peaks {
+			if p.Amplitude > readerMax {
+				readerMax = p.Amplitude
 			}
 		}
-		floor := readerMax * f.cfg.MinAbsPeakFrac
-		for epc, peaks := range mon {
-			kept := peaks[:0]
-			for _, p := range peaks {
-				if p.Amplitude >= floor {
-					kept = append(kept, p)
-				}
+	}
+	floor := readerMax * f.cfg.MinAbsPeakFrac
+	for epc, peaks := range mon {
+		kept := peaks[:0]
+		for _, p := range peaks {
+			if p.Amplitude >= floor {
+				kept = append(kept, p)
 			}
-			mon[epc] = kept
 		}
-		f.monitored[rid] = mon
+		mon[epc] = kept
 	}
 }
 
@@ -117,6 +122,45 @@ func (f *Fuser) MonitoredPeaks(readerID string, epc []byte) []music.Peak {
 	return m[string(epc)]
 }
 
+// Tags returns the EPC keys of a reader's baseline tags in sorted
+// order — the order BuildView folds them in — or nil when the reader
+// has no baseline.
+func (f *Fuser) Tags(readerID string) []string {
+	base := f.round1[readerID]
+	if base == nil {
+		return nil
+	}
+	keys := make([]string, 0, len(base))
+	for k := range base {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Evidence samples a reader's online spectra at its monitored peaks:
+// for every tag with a baseline and at least one monitored peak, the
+// Eq. 13 beam power Beam[p.Index] of its spectrum, one per peak in
+// MonitoredPeaks order. That is the whole of a spectrum BuildView
+// reads, so BuildView(r, Evidence(r, spectra)) is the full-spectrum
+// fusion.
+func (f *Fuser) Evidence(readerID string, online map[string]*pmusic.Spectrum) map[string][]float64 {
+	mon := f.monitored[readerID]
+	out := make(map[string][]float64, len(online))
+	for epc, sp := range online {
+		peaks := mon[epc]
+		if len(peaks) == 0 {
+			continue
+		}
+		ev := make([]float64, len(peaks))
+		for i, p := range peaks {
+			ev[i] = sp.Beam[p.Index]
+		}
+		out[epc] = ev
+	}
+	return out
+}
+
 // BaselineSpectrum returns the stored reference spectrum.
 func (f *Fuser) BaselineSpectrum(readerID string, epc []byte) *pmusic.Spectrum {
 	m := f.round1[readerID]
@@ -126,32 +170,28 @@ func (f *Fuser) BaselineSpectrum(readerID string, epc []byte) *pmusic.Spectrum {
 	return m[string(epc)]
 }
 
-// BuildView fuses one reader's online spectra against its baseline into
-// a drop view. Tag EPC keys are iterated in sorted order for
-// reproducibility. Returns nil when the reader has no usable baseline
-// or no online overlap.
-func (f *Fuser) BuildView(readerID string, online map[string]*pmusic.Spectrum) *loc.View {
+// BuildView fuses one reader's online evidence against its baseline
+// into a drop view. online[epc][i] is the Eq. 13 beam power at the
+// tag's i-th monitored peak (see Evidence); a tag whose evidence does
+// not cover its monitored peaks is skipped. Tag EPC keys are iterated
+// in sorted order for reproducibility. Returns nil when the reader has
+// no usable baseline or no online overlap.
+func (f *Fuser) BuildView(readerID string, online map[string][]float64) *loc.View {
 	arr := f.arrays[readerID]
 	base := f.round1[readerID]
 	if arr == nil || base == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	var sum []float64
 	var angles []float64
-	for _, epc := range keys {
+	for _, epc := range f.Tags(readerID) {
 		b := base[epc]
 		o, ok := online[epc]
 		if !ok {
 			continue // tag missed this cycle (inventory), skip
 		}
 		peaks := f.monitored[readerID][epc]
-		if len(peaks) == 0 {
+		if len(peaks) == 0 || len(o) != len(peaks) {
 			continue
 		}
 		if sum == nil {
@@ -181,7 +221,7 @@ func (f *Fuser) BuildView(readerID string, online map[string]*pmusic.Spectrum) *
 			if bb <= 0 {
 				continue
 			}
-			d := (bb - o.Beam[p.Index]) / bb
+			d := (bb - o[i]) / bb
 			if d > 1 {
 				d = 1
 			}

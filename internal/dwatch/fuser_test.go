@@ -52,7 +52,7 @@ func TestFuserBaselineStability(t *testing.T) {
 	// Round 2: the 120° peak is gone.
 	b2 := synthSpectrum([]float64{rf.Rad(60)}, []float64{1})
 	f.AddBaseline("r1", epc, b2)
-	f.FinishBaseline()
+	f.FinishBaseline("r1")
 
 	peaks := f.MonitoredPeaks("r1", epc)
 	if len(peaks) != 1 {
@@ -71,7 +71,7 @@ func TestFuserEndfireBandExcluded(t *testing.T) {
 	sp := synthSpectrum([]float64{rf.Rad(5), rf.Rad(90)}, []float64{1, 1})
 	f.AddBaseline("r1", epc, sp)
 	f.AddBaseline("r1", epc, sp)
-	f.FinishBaseline()
+	f.FinishBaseline("r1")
 	for _, p := range f.MonitoredPeaks("r1", epc) {
 		if p.Angle < rf.Rad(12) || p.Angle > math.Pi-rf.Rad(12) {
 			t.Errorf("endfire peak at %.1f° monitored", rf.Deg(p.Angle))
@@ -91,7 +91,7 @@ func TestFuserAbsoluteFloor(t *testing.T) {
 	f.AddBaseline("r1", weak, s2)
 	f.AddBaseline("r1", strong, s1)
 	f.AddBaseline("r1", weak, s2)
-	f.FinishBaseline()
+	f.FinishBaseline("r1")
 	if got := len(f.MonitoredPeaks("r1", strong)); got != 1 {
 		t.Errorf("strong tag monitored = %d", got)
 	}
@@ -107,11 +107,11 @@ func TestFuserBuildViewDrop(t *testing.T) {
 	base := synthSpectrum([]float64{rf.Rad(60), rf.Rad(120)}, []float64{1, 0.8})
 	f.AddBaseline("r1", epc, base)
 	f.AddBaseline("r1", epc, base)
-	f.FinishBaseline()
+	f.FinishBaseline("r1")
 
 	// Online: the 120° path lost 90% of its power.
 	online := synthSpectrum([]float64{rf.Rad(60), rf.Rad(120)}, []float64{1, 0.08})
-	v := f.BuildView("r1", map[string]*pmusic.Spectrum{string(epc): online})
+	v := f.BuildView("r1", f.Evidence("r1", map[string]*pmusic.Spectrum{string(epc): online}))
 	if v == nil {
 		t.Fatal("no view")
 	}
@@ -139,9 +139,9 @@ func TestFuserBuildViewNilCases(t *testing.T) {
 	sp := synthSpectrum([]float64{rf.Rad(60)}, []float64{1})
 	f.AddBaseline("r1", epc, sp)
 	f.AddBaseline("r1", epc, sp)
-	f.FinishBaseline()
+	f.FinishBaseline("r1")
 	// Online missing the tag entirely: no evidence, nil view.
-	if v := f.BuildView("r1", map[string]*pmusic.Spectrum{}); v != nil {
+	if v := f.BuildView("r1", map[string][]float64{}); v != nil {
 		t.Error("view without online overlap should be nil")
 	}
 }
@@ -180,10 +180,10 @@ func TestFuserWeightingFavorsStrongPaths(t *testing.T) {
 	base := synthSpectrum([]float64{rf.Rad(60), rf.Rad(120)}, []float64{1, 0.05})
 	f.AddBaseline("r1", epc, base)
 	f.AddBaseline("r1", epc, base)
-	f.FinishBaseline()
+	f.FinishBaseline("r1")
 	// Both drop fully.
 	online := synthSpectrum([]float64{rf.Rad(60), rf.Rad(120)}, []float64{1e-6, 1e-6})
-	v := f.BuildView("r1", map[string]*pmusic.Spectrum{string(epc): online})
+	v := f.BuildView("r1", f.Evidence("r1", map[string]*pmusic.Spectrum{string(epc): online}))
 	if v == nil {
 		t.Fatal("no view")
 	}
@@ -203,7 +203,7 @@ func TestFuserPeakIndicesValid(t *testing.T) {
 	sp := synthSpectrum([]float64{rf.Rad(45), rf.Rad(135)}, []float64{1, 1})
 	f.AddBaseline("r1", epc, sp)
 	f.AddBaseline("r1", epc, sp)
-	f.FinishBaseline()
+	f.FinishBaseline("r1")
 	for _, p := range f.MonitoredPeaks("r1", epc) {
 		if p.Index < 0 || p.Index >= len(sp.Angles) {
 			t.Fatalf("peak index %d out of grid", p.Index)
@@ -214,5 +214,66 @@ func TestFuserPeakIndicesValid(t *testing.T) {
 		if math.Abs(sp.Angles[p.Index]-p.Angle) > step/2+1e-9 {
 			t.Fatalf("peak angle %.4f too far from index angle %.4f", p.Angle, sp.Angles[p.Index])
 		}
+	}
+}
+
+// TestFuserEvidenceIsBeamAtMonitoredPeaks: Evidence reads exactly
+// Beam[p.Index] per monitored peak in MonitoredPeaks order, skips tags
+// without monitored peaks, and BuildView ignores evidence that does not
+// cover a tag's monitored set.
+func TestFuserEvidenceIsBeamAtMonitoredPeaks(t *testing.T) {
+	arr := fuserArray(t)
+	f := NewFuser(map[string]*rf.Array{"r1": arr}, Config{})
+	two, none := []byte{1}, []byte{2}
+	base := synthSpectrum([]float64{rf.Rad(60), rf.Rad(120)}, []float64{1, 0.8})
+	endfire := synthSpectrum([]float64{rf.Rad(3)}, []float64{1})
+	for round := 0; round < 2; round++ {
+		f.AddBaseline("r1", two, base)
+		f.AddBaseline("r1", none, endfire)
+	}
+	f.FinishBaseline("r1")
+	peaks := f.MonitoredPeaks("r1", two)
+	if len(peaks) != 2 || len(f.MonitoredPeaks("r1", none)) != 0 {
+		t.Fatalf("monitored = %d and %d peaks, want 2 and 0", len(peaks), len(f.MonitoredPeaks("r1", none)))
+	}
+	online := synthSpectrum([]float64{rf.Rad(60), rf.Rad(120)}, []float64{1, 0.08})
+	ev := f.Evidence("r1", map[string]*pmusic.Spectrum{string(two): online, string(none): online})
+	if _, ok := ev[string(none)]; ok || len(ev) != 1 {
+		t.Fatalf("evidence keys = %v, want only the monitored tag", ev)
+	}
+	for i, p := range peaks {
+		if got := ev[string(two)][i]; got != online.Beam[p.Index] {
+			t.Fatalf("evidence[%d] = %v, want Beam[%d] = %v", i, got, p.Index, online.Beam[p.Index])
+		}
+	}
+	if v := f.BuildView("r1", map[string][]float64{string(two): ev[string(two)][:1]}); v != nil {
+		t.Fatal("BuildView used evidence shorter than the monitored set")
+	}
+	if got := f.Tags("r1"); len(got) != 2 || got[0] != string(two) || got[1] != string(none) {
+		t.Fatalf("Tags = %q, want sorted baseline keys", got)
+	}
+}
+
+// TestFuserFinishBaselinePerReader: confirming one reader applies only
+// that reader's floor; another reader's monitored set is untouched even
+// when its peaks sit below the confirmed reader's floor.
+func TestFuserFinishBaselinePerReader(t *testing.T) {
+	arr := fuserArray(t)
+	f := NewFuser(map[string]*rf.Array{"r1": arr, "r2": arr}, Config{})
+	strong, weak := []byte{1}, []byte{2}
+	s1 := synthSpectrum([]float64{rf.Rad(70)}, []float64{1})
+	s2 := synthSpectrum([]float64{rf.Rad(110)}, []float64{1e-4})
+	for round := 0; round < 2; round++ {
+		f.AddBaseline("r1", strong, s1)
+		f.AddBaseline("r1", weak, s2)
+		f.AddBaseline("r2", weak, s2)
+	}
+	f.FinishBaseline("r2")
+	f.FinishBaseline("r1")
+	if got := len(f.MonitoredPeaks("r1", weak)); got != 0 {
+		t.Errorf("r1 weak tag monitored = %d, want 0 (below r1's floor)", got)
+	}
+	if got := len(f.MonitoredPeaks("r2", weak)); got != 1 {
+		t.Errorf("r2 weak tag monitored = %d, want 1 (r2's own floor)", got)
 	}
 }

@@ -25,10 +25,23 @@
 //     growing residual says "re-run Section 4.1 calibration" before
 //     fixes silently walk away.
 //
-// Observations arrive from the pipeline's assembler goroutine (one
-// call per applied tag spectrum); snapshots are read concurrently by
-// the /api/v1/health endpoint. When a metrics registry is attached the
+// Observations arrive from the pipeline's round sequencers, one call
+// per applied tag read; snapshots are read concurrently by the
+// /api/v1/health endpoint. When a metrics registry is attached the
 // same state is exported as dwatch_rf_* families.
+//
+// The monitor keeps a bounded sample of full spectra, not all of them.
+// Baseline rounds pass every tag's spectrum. After its baseline a
+// reader's online fixes need no full spectra, so each online report
+// passes one, round-robin over the reader's K baseline tags, and a bare
+// read (nil spectrum) for every other tag. Read counts and read rates
+// therefore still see every round. Each pair's path statistics and the
+// calibration residual refresh once every K online rounds: K is up to
+// 21 on the library preset and 26 on table, 2.1 s and 2.6 s at the
+// paper's 100 ms period. The EWMA weights count observations, so their
+// horizons are K times longer in wall time than at one spectrum per
+// round — SlowAlpha's ~50 observations span about 100 s on library —
+// and a drift shows after a few cycles, not a few rounds.
 package health
 
 import (

@@ -134,6 +134,10 @@ type Options struct {
 	Eigensolver Eigensolver
 }
 
+// GridLen returns the number of scan angles the options resolve to:
+// GridSize, or the default 361 when it is zero.
+func (o Options) GridLen() int { return o.withDefaults(0).GridSize }
+
 func (o Options) withDefaults(m int) Options {
 	if o.GridSize == 0 {
 		o.GridSize = 361

@@ -15,20 +15,74 @@ import (
 	"dwatch/internal/tracing"
 )
 
-// report is one reader's completed acquisition report: every tag's
-// spectrum computed (or failed/shed to nil and omitted), ready for
+// report is one reader's completed acquisition report, ready for
 // round-ordered application. Workers produce one per job; the ingest
-// path produces them directly for tagless reports.
+// path produces them directly for tagless and shed reports.
 type report struct {
-	reader  string
-	round   int
-	seq     uint32
+	reader string
+	round  int
+	seq    uint32
+	// read lists, in report order, every tag whose snapshot passed the
+	// spectrum stage; failed and shed ones are omitted. The RF-health
+	// monitor counts each as a read.
+	read []string
+	// spectra holds the full P-MUSIC spectra the stage computed: every
+	// read tag's in a baseline round and in an online round worked
+	// before the reader's plan was out, otherwise only the health
+	// sample's (plan.full).
 	spectra map[string]*pmusic.Spectrum
+	// evidence holds the fuser's online input per monitored tag: the
+	// beam powers at its monitored peaks (dwatch.Fuser.BuildView).
+	// Workers fill it on the monitored path; apply adds the evidence it
+	// samples from spectra, then drops the spectra.
+	evidence map[string][]float64
 }
 
-// seqGroup accumulates one acquisition sequence across readers.
+// plan is a confirmed reader's online evaluation plan: which grid
+// indices each tag's fix evidence reads. The baseline confirmation (or
+// New, for a restored fuser) publishes it once on the reader's
+// sequencer under fuserMu; it is immutable after, so workers load it
+// without a lock. The reader's monitored set never changes after its
+// confirmation, so the plan stays equal to the fuser's MonitoredPeaks.
+type plan struct {
+	keys []string         // the reader's baseline tags, sorted
+	idx  map[string][]int // per tag, its monitored peaks' grid indices in MonitoredPeaks order
+}
+
+// newPlan snapshots a reader's monitored peaks from the fuser; the
+// caller holds fuserMu.
+func newPlan(f *dwatch.Fuser, readerID string) *plan {
+	pl := &plan{keys: f.Tags(readerID), idx: map[string][]int{}}
+	for _, k := range pl.keys {
+		peaks := f.MonitoredPeaks(readerID, []byte(k))
+		if len(peaks) == 0 {
+			continue
+		}
+		idx := make([]int, len(peaks))
+		for i, pk := range peaks {
+			idx[i] = pk.Index
+		}
+		pl.idx[k] = idx
+	}
+	return pl
+}
+
+// full reports whether a tag's read in a round keeps its full
+// spectrum. Without a plan (nil: a baseline round, or an online one
+// evaluated before the confirmation) every tag does. With one, only
+// the round's health sample does: the plan's keys round-robin, so each
+// of K baseline tags is sampled once every K rounds.
+func (pl *plan) full(round int, epc string) bool {
+	if pl == nil {
+		return true
+	}
+	return len(pl.keys) > 0 && pl.keys[round%len(pl.keys)] == epc
+}
+
+// seqGroup accumulates one acquisition sequence across readers: each
+// reader's online evidence, a few floats per monitored tag.
 type seqGroup struct {
-	byReader map[string]map[string]*pmusic.Spectrum
+	byReader map[string]map[string][]float64
 	created  time.Time
 }
 
@@ -36,26 +90,29 @@ type seqGroup struct {
 // reader's reports in arbitrary order, and submit applies them in
 // round order under the per-reader lock — so baselines are built
 // exactly as in the synchronous path, without funneling every reader
-// through one goroutine.
+// through one goroutine. It also carries the reader's plan once its
+// baseline is confirmed.
 type readerSeq struct {
 	mu    sync.Mutex
 	next  int
 	ready map[int]*report
+	plan  atomic.Pointer[plan]
 }
 
 // assembler is stages 3+4, sharded: per-reader sequencers feed
 // complete reports to seq%N shard goroutines that own the grouping
 // state, so fusion for independent sequences runs in parallel. The
 // fuser is shared under a read-write lock (baseline writes are rare
-// and confined to startup; BuildView is read-only), and the grid-index
-// cache is shared under its own lock since entries are immutable.
+// and confined to startup; Evidence and BuildView are read-only), and
+// the grid-index cache is shared under its own lock since entries are
+// immutable.
 type assembler struct {
 	p     *Pipeline
 	fuser *dwatch.Fuser
-	// fuserMu orders baseline mutation against concurrent BuildView
-	// reads from the fusion shards. dwatch.Fuser itself is not
-	// synchronized: AddBaseline/FinishBaseline take the write side,
-	// BuildView the read side.
+	// fuserMu orders baseline mutation against concurrent reads from
+	// the sequencers and fusion shards. dwatch.Fuser itself is not
+	// synchronized: AddBaseline/FinishBaseline and plan publication
+	// take the write side, Evidence and BuildView the read side.
 	fuserMu sync.RWMutex
 
 	// seqs holds one round sequencer per deployed reader; the reader
@@ -123,8 +180,12 @@ func newAssembler(p *Pipeline, fuser *dwatch.Fuser) *assembler {
 	}
 	for id := range p.cfg.Arrays {
 		// Restored-baseline pipelines start every reader past the
-		// baseline rounds (p.rounds is pre-seeded).
-		a.seqs[id] = &readerSeq{next: p.rounds[id], ready: map[int]*report{}}
+		// baseline rounds (p.rounds is pre-seeded) with its plan out.
+		rs := &readerSeq{next: p.rounds[id], ready: map[int]*report{}}
+		if p.cfg.Restored != nil {
+			rs.plan.Store(newPlan(fuser, id))
+		}
+		a.seqs[id] = rs
 	}
 	a.shards = make([]*shard, p.cfg.AssemblerShards)
 	for i := range a.shards {
@@ -163,27 +224,66 @@ func (a *assembler) submit(g *report) error {
 }
 
 // apply processes one in-order report: baseline rounds feed the fuser,
-// online rounds route to their sequence's shard. Every applied
-// spectrum also feeds the RF-health monitor — baseline rounds
+// online rounds route their evidence to their sequence's shard. Every
+// report also feeds the RF-health monitor (observe) — baseline rounds
 // included, since channel statistics accrue regardless of phase.
 func (a *assembler) apply(g *report) error {
-	if a.p.cfg.Health != nil && len(g.spectra) > 0 {
-		now := a.p.now()
-		for epc, sp := range g.spectra {
-			a.p.cfg.Health.Observe(g.reader, epc, sp, now)
-		}
-	}
 	if g.round < a.p.cfg.BaselineRounds {
+		a.observe(g, nil)
 		a.applyBaseline(g)
 		return nil
+	}
+	// Online rounds apply only after the reader's confirmation (or a
+	// restored pipeline's New) published its plan.
+	pl := a.seqs[g.reader].plan.Load()
+	a.observe(g, pl)
+	if len(g.spectra) > 0 {
+		// Full spectra — a job that raced the confirmation, or the
+		// health sample — yield the same evidence bits the monitored
+		// path computes.
+		a.fuserMu.RLock()
+		ev := a.fuser.Evidence(g.reader, g.spectra)
+		a.fuserMu.RUnlock()
+		if g.evidence == nil {
+			g.evidence = ev
+		} else {
+			for epc, v := range ev {
+				g.evidence[epc] = v
+			}
+		}
+		g.spectra = nil
 	}
 	return a.route(g)
 }
 
+// observe feeds one report's reads to the RF-health monitor in report
+// order. Without a plan (a baseline round) every read tag's spectrum
+// is observed. With one, only the round's health sample passes its
+// spectrum and every other tag counts as a bare read: read rates still
+// count every round, and each pair's path statistics refresh once per
+// len(plan.keys) online rounds, whichever path the worker took.
+func (a *assembler) observe(g *report, pl *plan) {
+	h := a.p.cfg.Health
+	if h == nil || len(g.read) == 0 {
+		return
+	}
+	now := a.p.now()
+	for _, epc := range g.read {
+		var sp *pmusic.Spectrum
+		if pl.full(g.round, epc) {
+			sp = g.spectra[epc]
+		}
+		h.Observe(g.reader, epc, sp, now)
+	}
+}
+
 // applyBaseline folds one baseline-round report into the fuser under
-// the write lock. The OnBaseline callback runs inside the critical
-// section: callers (dwatchd state persistence) rely on exclusive fuser
-// access while the callback executes.
+// the write lock. On the confirmation round it applies the reader's
+// peak floor and publishes the reader's plan, which switches the
+// workers to the monitored path for its online reports. The
+// OnBaseline callback runs inside the critical section: callers
+// (dwatchd state persistence) rely on exclusive fuser access while the
+// callback executes.
 func (a *assembler) applyBaseline(g *report) {
 	confirm := g.round == a.p.cfg.BaselineRounds-1
 	a.fuserMu.Lock()
@@ -191,7 +291,8 @@ func (a *assembler) applyBaseline(g *report) {
 		a.fuser.AddBaseline(g.reader, []byte(epc), sp)
 	}
 	if confirm {
-		a.fuser.FinishBaseline()
+		a.fuser.FinishBaseline(g.reader)
+		a.seqs[g.reader].plan.Store(newPlan(a.fuser, g.reader))
 		if a.p.cfg.OnBaseline != nil {
 			a.p.cfg.OnBaseline(g.reader, len(g.spectra))
 		}
@@ -307,10 +408,10 @@ func (s *shard) accept(g *report) {
 	}
 	grp := s.online[g.seq]
 	if grp == nil {
-		grp = &seqGroup{byReader: map[string]map[string]*pmusic.Spectrum{}, created: a.p.now()}
+		grp = &seqGroup{byReader: map[string]map[string][]float64{}, created: a.p.now()}
 		s.online[g.seq] = grp
 	}
-	grp.byReader[g.reader] = g.spectra
+	grp.byReader[g.reader] = g.evidence
 	ready, degraded := s.takeIfReady(g.seq, grp)
 	s.mu.Unlock()
 	if ready {

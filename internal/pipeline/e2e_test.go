@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math"
 	"sort"
 	"testing"
 
@@ -70,7 +69,7 @@ func syncFixes(tb testing.TB, sc *sim.Scenario, reports []*llrp.ROAccessReport) 
 	}
 	fuser := dwatch.NewFuser(arrays, dwatch.Config{})
 	rounds := map[string]int{}
-	online := map[uint32]map[string]map[string]*pmusic.Spectrum{}
+	online := map[uint32]map[string]map[string][]float64{}
 	fixes := map[uint32]loc.Result{}
 	for _, rep := range reports {
 		arr := arrays[rep.ReaderID]
@@ -93,16 +92,16 @@ func syncFixes(tb testing.TB, sc *sim.Scenario, reports []*llrp.ROAccessReport) 
 				fuser.AddBaseline(rep.ReaderID, []byte(epc), sp)
 			}
 			if round == 1 {
-				fuser.FinishBaseline()
+				fuser.FinishBaseline(rep.ReaderID)
 			}
 			continue
 		}
 		bySeq := online[rep.Seq]
 		if bySeq == nil {
-			bySeq = map[string]map[string]*pmusic.Spectrum{}
+			bySeq = map[string]map[string][]float64{}
 			online[rep.Seq] = bySeq
 		}
-		bySeq[rep.ReaderID] = spectra
+		bySeq[rep.ReaderID] = fuser.Evidence(rep.ReaderID, spectra)
 		if len(bySeq) < len(sc.Readers) {
 			continue
 		}
@@ -166,35 +165,46 @@ func pipelineFixesSharded(tb testing.TB, sc *sim.Scenario, reports []*llrp.ROAcc
 }
 
 // TestEndToEndMatchesSynchronous drives simulated reports through the
-// full concurrent pipeline and asserts it emits the same fixes as the
-// synchronous ingest path it replaced.
+// full concurrent pipeline and asserts it emits exactly the fixes of
+// the synchronous full-spectrum path it replaced: the same position
+// and confidence bits, although the pipeline evaluates confirmed
+// readers' online tags only at their monitored peaks. The library case
+// adds reflector multipath and four readers to the table's two.
 func TestEndToEndMatchesSynchronous(t *testing.T) {
-	sc, err := sim.Build(sim.TableConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := genReports(t, sc, 3, 6)
-	want := syncFixes(t, sc, reports)
-	got := pipelineFixes(t, sc, reports, 4)
+	for _, tc := range []struct {
+		name   string
+		cfg    sim.Config
+		rounds int
+	}{
+		{"table", sim.TableConfig(), 3},
+		{"library", sim.LibraryConfig(), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc, err := sim.Build(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports := genReports(t, sc, tc.rounds, 6)
+			want := syncFixes(t, sc, reports)
+			got := pipelineFixes(t, sc, reports, 4)
 
-	if len(want) == 0 {
-		t.Fatal("reference path produced no fixes — scenario too weak to compare")
-	}
-	if len(got) != len(want) {
-		t.Fatalf("pipeline fixes = %d, reference = %d", len(got), len(want))
-	}
-	for seq, ref := range want {
-		f, ok := got[seq]
-		if !ok {
-			t.Fatalf("seq %d: fixed by reference, missed by pipeline", seq)
-		}
-		if d := math.Hypot(f.Pos.X-ref.Pos.X, f.Pos.Y-ref.Pos.Y); d > 1e-9 {
-			t.Fatalf("seq %d: pipeline fix (%.6f, %.6f) vs reference (%.6f, %.6f), drift %g",
-				seq, f.Pos.X, f.Pos.Y, ref.Pos.X, ref.Pos.Y, d)
-		}
-		if math.Abs(f.Confidence-ref.Confidence) > 1e-9 {
-			t.Fatalf("seq %d: confidence %v vs %v", seq, f.Confidence, ref.Confidence)
-		}
+			if len(want) == 0 {
+				t.Fatal("reference path produced no fixes — scenario too weak to compare")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("pipeline fixes = %d, reference = %d", len(got), len(want))
+			}
+			for seq, ref := range want {
+				f, ok := got[seq]
+				if !ok {
+					t.Fatalf("seq %d: fixed by reference, missed by pipeline", seq)
+				}
+				if f.Pos != ref.Pos || f.Confidence != ref.Confidence {
+					t.Fatalf("seq %d: pipeline fix %v conf %v vs reference %v conf %v",
+						seq, f.Pos, f.Confidence, ref.Pos, ref.Confidence)
+				}
+			}
+		})
 	}
 }
 

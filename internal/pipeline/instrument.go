@@ -93,7 +93,7 @@ func newInstruments(reg *obs.Registry, p *Pipeline) *instruments {
 	in.rejected = reg.Counter(metricReportsRejected, "Reports rejected (unknown reader).")
 	in.snaps = reg.Counter(metricSnapshots, "Per-tag snapshot jobs enqueued.")
 	in.snapsDrop = reg.Counter(metricSnapshotsDropped, "Snapshot jobs shed by the drop-oldest overload policy.")
-	spectra := reg.CounterVec(metricSpectra, "P-MUSIC spectrum computations by result.", "result")
+	spectra := reg.CounterVec(metricSpectra, "Tag snapshots evaluated by the spectrum stage, by result.", "result")
 	in.spectraOK = spectra.With("ok")
 	in.spectraFailed = spectra.With("failed")
 	sequences := reg.CounterVec(metricSequences, "Acquisition sequences by outcome.", "outcome")

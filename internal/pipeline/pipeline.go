@@ -13,19 +13,27 @@
 //     the configured OverloadPolicy decides: Block applies
 //     backpressure to the reader connection, DropOldest sheds the
 //     stalest queued report so fresh evidence wins.
-//  2. Spectrum workers — a pool of Workers goroutines decodes each
-//     job's snapshots and runs P-MUSIC per tag; this is the dominant
-//     cost and the stage that scales with cores.
+//  2. Spectrum workers — a pool of Workers goroutines evaluates each
+//     job's snapshots per tag. Baseline rounds run the full P-MUSIC
+//     spectrum. Once a reader's baseline is confirmed its plan is out,
+//     and an online tag costs only its correlation and the Eq. 13 beam
+//     power at its monitored peaks (none: row validation only); one
+//     tag per report, round-robin, still gets a full spectrum for the
+//     RF-health monitor. This stage scales with cores.
 //  3. Sequencing — each worker hands its completed report to the
 //     owning reader's round sequencer (a per-reader lock, no shared
 //     funnel), which applies reports in round order so baselines are
 //     built exactly as in the synchronous path even when spectra
-//     finish out of order across the pool.
+//     finish out of order across the pool. An online report computed
+//     before its reader's plan was out carries full spectra; the
+//     sequencer samples the same evidence bits from them.
 //  4. Sharded fusion — online reports route to seq%N shard goroutines
 //     that own the per-sequence grouping state. When a sequence has
 //     evidence from every reader, its shard builds drop views and
 //     runs the grid search, emitting a Fix — independent sequences
 //     fuse in parallel instead of serializing behind one assembler.
+//     A pending sequence holds evidence, a few floats per monitored
+//     tag, not spectra.
 //     Incomplete sequences are evicted after SeqTTL (and capped
 //     globally at MaxPendingSeqs) so a dead reader cannot leak
 //     memory; reports for evicted sequences are counted as late, not
@@ -34,8 +42,8 @@
 // The pipeline exposes a Stats snapshot (counters, queue depth, and
 // per-stage latency histograms) and a Start/Drain/Close lifecycle.
 // The shared dwatch.Fuser is guarded by a read-write lock: baseline
-// construction (startup-only) takes the write side, the shards'
-// read-only BuildView calls the read side.
+// construction (startup-only) takes the write side, the sequencers'
+// Evidence and the shards' BuildView calls the read side.
 package pipeline
 
 import (
@@ -115,7 +123,8 @@ type Config struct {
 	// reference + confirmation rounds). Ignored when Restored is set.
 	BaselineRounds int
 	// Restored supplies a fuser with a previously saved baseline; all
-	// readers then start directly in the online phase.
+	// readers then start directly in the online phase. Its baseline
+	// spectra must be on the pipeline's scan grid (PMusic.Music).
 	Restored *dwatch.Fuser
 
 	// SeqTTL evicts incomplete sequences older than this. 0 = 30 s.
@@ -167,10 +176,12 @@ type Config struct {
 	// tracing — every call site no-ops on the nil receiver.
 	Tracer *tracing.Tracer
 
-	// Health, when set, receives every applied tag spectrum: per-
-	// (reader, tag) read rates, per-path power baselines with drift
-	// detection, and calibration residuals. Nil disables RF-health
-	// monitoring.
+	// Health, when set, receives every applied tag read: per-(reader,
+	// tag) read rates, and per-path power baselines with drift
+	// detection and calibration residuals from the full spectra —
+	// every baseline-round tag's, then one tag per online report,
+	// round-robin over the reader's baseline tags. Nil disables
+	// RF-health monitoring.
 	Health *health.Monitor
 
 	// Logger, when set, receives structured logs for operationally
@@ -233,8 +244,8 @@ var (
 
 // job is one whole report heading to the worker pool: batched
 // dispatch, one queue operation per report regardless of tag count.
-// The owning worker computes every tag's spectrum before handing the
-// completed report to the sequencer.
+// The owning worker evaluates every tag before handing the completed
+// report to the sequencer.
 type job struct {
 	reader string
 	arr    *rf.Array
@@ -283,9 +294,10 @@ type Pipeline struct {
 	decodeHist *stats.Histogram
 	fuseHist   *stats.Histogram
 
-	// compute and now are test seams. compute is nil in production:
-	// each worker then runs P-MUSIC straight from the decoded snapshot
-	// rows through its own reusable per-array pmusic.Workspace
+	// compute and now are test seams. compute replaces the full
+	// spectrum path only; it is nil in production, and each worker
+	// then runs P-MUSIC straight from the decoded snapshot rows
+	// through its own reusable per-array pmusic.Workspace
 	// (bit-identical to pmusic.Compute, allocating only the result).
 	compute func(snap [][]complex128, arr *rf.Array, opts pmusic.Options) (*pmusic.Spectrum, error)
 	now     func() time.Time
@@ -318,6 +330,9 @@ func newFromConfig(cfg Config) (*Pipeline, error) {
 	if fuser == nil {
 		fuser = dwatch.NewFuser(cfg.Arrays, cfg.Fuser)
 	} else {
+		if err := checkRestoredGrid(fuser, cfg); err != nil {
+			return nil, err
+		}
 		// A restored baseline puts every reader straight into the
 		// online phase.
 		for id := range cfg.Arrays {
@@ -327,6 +342,21 @@ func newFromConfig(cfg Config) (*Pipeline, error) {
 	p.asm = newAssembler(p, fuser)
 	p.ins = newInstruments(cfg.Obs, p)
 	return p, nil
+}
+
+// checkRestoredGrid rejects a restored baseline whose spectra are not
+// on the pipeline's scan grid: its monitored peak indices would then
+// read the wrong steering-table angles.
+func checkRestoredGrid(f *dwatch.Fuser, cfg Config) error {
+	n := cfg.PMusic.Music.GridLen()
+	for id := range cfg.Arrays {
+		for _, epc := range f.Tags(id) {
+			if got := len(f.BaselineSpectrum(id, []byte(epc)).Angles); got != n {
+				return fmt.Errorf("pipeline: restored baseline %s/%x has %d angles, scan grid has %d", id, epc, got, n)
+			}
+		}
+	}
+	return nil
 }
 
 // SubscribeFixes registers fn to be invoked for every fusion outcome
@@ -409,10 +439,7 @@ func (p *Pipeline) Ingest(rep *llrp.ROAccessReport) error {
 	if len(rep.Reports) == 0 {
 		// Tagless report: skip the workers but keep round accounting
 		// and sequence membership alive.
-		err := p.asm.submit(&report{
-			reader: rep.ReaderID, round: round, seq: rep.Seq,
-			spectra: map[string]*pmusic.Spectrum{},
-		})
+		err := p.asm.submit(&report{reader: rep.ReaderID, round: round, seq: rep.Seq})
 		trc.Span(tracing.StageIngest, rep.ReaderID, "", now, p.now(), 0)
 		return err
 	}
@@ -463,7 +490,7 @@ func (p *Pipeline) enqueue(j job) error {
 		default:
 		}
 		// Queue full: shed the oldest queued report and retry. The
-		// shed report is forwarded with no spectra so it still
+		// shed report is forwarded with no evidence so it still
 		// completes round accounting and sequence membership. Losing
 		// the race to a worker just means space freed up — the retry
 		// will succeed.
@@ -476,10 +503,7 @@ func (p *Pipeline) enqueue(j job) error {
 				trc.Event(tracing.EventSnapshotDropped,
 					old.reader+"/"+hex.EncodeToString(tr.EPC), p.now())
 			}
-			if err := p.asm.submit(&report{
-				reader: old.reader, round: old.round, seq: old.seq,
-				spectra: map[string]*pmusic.Spectrum{},
-			}); err != nil {
+			if err := p.asm.submit(&report{reader: old.reader, round: old.round, seq: old.seq}); err != nil {
 				return err
 			}
 		default:
@@ -487,12 +511,11 @@ func (p *Pipeline) enqueue(j job) error {
 	}
 }
 
-// worker is one spectrum-pool goroutine: it runs P-MUSIC for every tag
-// of a report job, then hands the completed report to the reader's
-// round sequencer. Each worker owns one pmusic.Workspace per array
-// geometry, so every scratch stage of the spectrum is reused across the
-// snapshots it processes while the steering tables stay shared and
-// read-only.
+// worker is one spectrum-pool goroutine: it evaluates every tag of a
+// report job, then hands the completed report to the reader's round
+// sequencer. Each worker owns one pmusic.Workspace per array geometry,
+// so every scratch stage is reused across the snapshots it processes
+// while the steering tables stay shared and read-only.
 func (p *Pipeline) worker() {
 	defer p.workerWG.Done()
 	ws := map[*rf.Array]*pmusic.Workspace{}
@@ -503,23 +526,48 @@ func (p *Pipeline) worker() {
 	}
 }
 
-// runJob computes every tag spectrum of one report job, recording a
-// per-tag spectrum span with the queue-wait vs compute split.
+// runJob evaluates every tag snapshot of one report job, recording a
+// per-tag spectrum span with the queue-wait vs compute split. A job
+// that finds its reader's plan out (an online round after the
+// confirmation) computes a full spectrum only for the round's health
+// sample and the monitored beam powers for every other tag; any other
+// job computes every tag's full spectrum. Either way each tag counts
+// once in the spectrum stage's span, histogram and result counter.
 func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
-	g := &report{
-		reader: j.reader, round: j.round, seq: j.seq,
-		spectra: make(map[string]*pmusic.Spectrum, len(j.tags)),
+	g := &report{reader: j.reader, round: j.round, seq: j.seq, read: make([]string, 0, len(j.tags))}
+	var pl *plan
+	if j.round >= p.cfg.BaselineRounds {
+		pl = p.asm.seqs[j.reader].plan.Load()
+	}
+	if pl != nil {
+		g.evidence = make(map[string][]float64, len(pl.idx))
 	}
 	trc := p.cfg.Tracer.Active(j.seq)
 	for _, tr := range j.tags {
+		epc := string(tr.EPC)
 		start := p.now()
 		span := p.ins.span(stageSpectrum, start)
-		sp, err := p.computeSnapshot(ws, j.arr, tr.Snapshot)
+		var err error
+		if pl.full(j.round, epc) {
+			var sp *pmusic.Spectrum
+			if sp, err = p.computeSnapshot(ws, j.arr, tr.Snapshot); err == nil {
+				if g.spectra == nil {
+					g.spectra = make(map[string]*pmusic.Spectrum, len(j.tags))
+				}
+				g.spectra[epc] = sp
+			}
+		} else {
+			var ev []float64
+			if ev, err = p.monitoredBeams(ws, j.arr, pl.idx[epc], tr.Snapshot); err == nil && len(ev) > 0 {
+				g.evidence[epc] = ev
+			}
+		}
 		end := p.now()
 		p.decodeHist.ObserveDuration(span.EndAt(end))
 		// The trace span runs from enqueue to completion with the
 		// wait before compute recorded separately, so Compute()
-		// isolates the P-MUSIC cost from backlog-induced latency.
+		// isolates the spectrum-stage cost from backlog-induced
+		// latency.
 		trc.Span(tracing.StageSpectrum, j.reader, hex.EncodeToString(tr.EPC),
 			j.enq, end, start.Sub(j.enq))
 		if err != nil {
@@ -530,27 +578,49 @@ func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
 		}
 		p.c.spectraComputed.Add(1)
 		p.ins.spectrum(true)
-		g.spectra[string(tr.EPC)] = sp
+		g.read = append(g.read, epc)
 	}
 	return g
 }
 
-// computeSnapshot turns one raw snapshot into a P-MUSIC spectrum,
+// computeSnapshot turns one raw snapshot into a full P-MUSIC spectrum,
 // through the test seam when set, otherwise through the worker's
-// reusable workspace for the job's array (created on first use).
+// reusable workspace for the job's array.
 func (p *Pipeline) computeSnapshot(ws map[*rf.Array]*pmusic.Workspace, arr *rf.Array, snap [][]complex128) (*pmusic.Spectrum, error) {
 	if p.compute != nil {
 		return p.compute(snap, arr, p.cfg.PMusic)
 	}
-	w := ws[arr]
-	if w == nil {
-		var err error
-		if w, err = pmusic.NewWorkspace(arr, p.cfg.PMusic); err != nil {
-			return nil, err
-		}
-		ws[arr] = w
+	w, err := p.workspace(ws, arr)
+	if err != nil {
+		return nil, err
 	}
 	return w.Compute(snap)
+}
+
+// monitoredBeams evaluates one snapshot only at a tag's monitored grid
+// indices, through the worker's workspace for the job's array; a tag
+// with no monitored peak only has its rows validated.
+func (p *Pipeline) monitoredBeams(ws map[*rf.Array]*pmusic.Workspace, arr *rf.Array, idx []int, snap [][]complex128) ([]float64, error) {
+	w, err := p.workspace(ws, arr)
+	if err != nil {
+		return nil, err
+	}
+	ev := make([]float64, len(idx))
+	return ev, w.BeamAt(snap, idx, ev)
+}
+
+// workspace returns the worker's reusable workspace for an array,
+// creating it on first use.
+func (p *Pipeline) workspace(ws map[*rf.Array]*pmusic.Workspace, arr *rf.Array) (*pmusic.Workspace, error) {
+	if w := ws[arr]; w != nil {
+		return w, nil
+	}
+	w, err := pmusic.NewWorkspace(arr, p.cfg.PMusic)
+	if err != nil {
+		return nil, err
+	}
+	ws[arr] = w
+	return w, nil
 }
 
 // teardown runs the ordered shutdown exactly once: stop the intake,

@@ -273,10 +273,7 @@ func TestSequenceTTLEviction(t *testing.T) {
 
 	// A straggler report for an evicted sequence is counted as late.
 	// The shards have exited, so submit applies it inline.
-	p.asm.submit(&report{
-		reader: dead, round: p.asm.seqs[dead].next, seq: 100,
-		spectra: map[string]*pmusic.Spectrum{},
-	})
+	p.asm.submit(&report{reader: dead, round: p.asm.seqs[dead].next, seq: 100})
 	if got := p.Stats().LateReports; got != 1 {
 		t.Fatalf("late reports = %d, want 1", got)
 	}

@@ -34,9 +34,11 @@ type Stats struct {
 	SnapshotsIn      uint64 // per-tag snapshots enqueued (batched per report)
 	SnapshotsDropped uint64 // snapshots shed by the DropOldest policy
 
-	// Spectrum worker pool.
-	SpectraComputed uint64 // successful P-MUSIC runs
-	SpectraFailed   uint64 // decode or compute failures
+	// Spectrum worker pool. One count per tag snapshot, whether the
+	// stage computed its full P-MUSIC spectrum, only the beam power at
+	// its monitored peaks, or (no monitored peak) only validated it.
+	SpectraComputed uint64 // tag snapshots evaluated
+	SpectraFailed   uint64 // tag snapshots rejected (bad rows or a failed compute)
 
 	// Assembler / fusion.
 	BaselinesConfirmed uint64 // readers whose baseline completed
@@ -55,7 +57,7 @@ type Stats struct {
 	// shard group tables.
 	PendingSequences int
 
-	// ComputeLatency digests per-snapshot decode+P-MUSIC time (s).
+	// ComputeLatency digests per-snapshot spectrum-stage time (s).
 	ComputeLatency stats.HistogramSummary
 	// FuseLatency digests per-sequence view-building+localize time (s).
 	FuseLatency stats.HistogramSummary

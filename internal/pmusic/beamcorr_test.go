@@ -36,7 +36,7 @@ func TestBeamCorrMatchesTimeDomain(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := make([]float64, len(grid))
-			beamPowerCorr(got, r, tab)
+			beamPowerCorr(got, r, tab, nil)
 
 			for i := range want {
 				scale := math.Abs(want[i])

@@ -112,8 +112,9 @@ func beamPowerTable(out []float64, x *cmatrix.Matrix, tab *rf.SteeringTable) {
 	}
 }
 
-// beamPowerCorr fills out[i] with the Eq. 13 beam power evaluated in
-// the correlation domain. Expanding |Σₘ xₙₘ·wₘ|² and averaging over
+// beamPowerCorr fills out with the Eq. 13 beam power evaluated in the
+// correlation domain: out[k] at grid angle idx[k], or out[i] at every
+// angle i when idx is nil. Expanding |Σₘ xₙₘ·wₘ|² and averaging over
 // snapshots gives PB(θ)·M² = Σₘₖ wₘ·conj(wₖ)·R̂[m,k] — i.e. the
 // beamformer is a quadratic form in the correlation matrix MUSIC has
 // already computed. Since the weights are unit-modulus, the diagonal
@@ -123,7 +124,11 @@ func beamPowerTable(out []float64, x *cmatrix.Matrix, tab *rf.SteeringTable) {
 // snapshot matrix. Algebraically identical to beamPowerAt; floating-
 // point results differ in the last bits (documented tolerance — see
 // DESIGN.md "Scaling the hot path").
-func beamPowerCorr(out []float64, r *cmatrix.Matrix, tab *rf.SteeringTable) {
+//
+// The full spectrum and the monitored-peak path (Workspace.BeamAt) run
+// this one prologue and this one per-angle loop, so the beam power at
+// an index is the same bits whichever path computed it.
+func beamPowerCorr(out []float64, r *cmatrix.Matrix, tab *rf.SteeringTable, idx []int) {
 	m := r.Rows
 	var tr float64
 	for i := 0; i < m; i++ {
@@ -152,14 +157,18 @@ func beamPowerCorr(out []float64, r *cmatrix.Matrix, tab *rf.SteeringTable) {
 		}
 		diag[d-1] = c
 	}
-	for ai := range out {
+	for k := range out {
+		ai := k
+		if idx != nil {
+			ai = idx[k]
+		}
 		w := tab.Weights(ai)
 		var off float64
 		for d := 1; d < m; d++ {
 			cd, wd := diag[d-1], w[d]
 			off += real(cd)*real(wd) + imag(cd)*imag(wd) // Re(c_d·conj(w_d))
 		}
-		out[ai] = (tr + 2*off) * inv
+		out[k] = (tr + 2*off) * inv
 	}
 }
 

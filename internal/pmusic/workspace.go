@@ -1,6 +1,8 @@
 package pmusic
 
 import (
+	"fmt"
+
 	"dwatch/internal/music"
 	"dwatch/internal/rf"
 )
@@ -57,10 +59,39 @@ func (w *Workspace) Compute(rows [][]complex128) (*Spectrum, error) {
 	n := len(spec)
 	buf := make([]float64, 2*n)
 	power, beam := buf[:n:n], buf[n:]
-	beamPowerCorr(beam, w.mw.Correlation(), tab)
+	beamPowerCorr(beam, w.mw.Correlation(), tab, nil)
 	w.peaks = normalizeInto(w.nor, w.peaks, tab.Angles, spec, w.opts.PeakRatio)
 	for i := range power {
 		power[i] = beam[i] * w.nor[i]
 	}
 	return &Spectrum{Angles: tab.Angles, Power: power, Beam: beam}, nil
+}
+
+// BeamAt evaluates only the Eq. 13 beam power of N snapshot rows at
+// the given grid indices, writing PB(θ_idx[k]) to out[k]: the one
+// number per monitored peak the online fix reads (dwatch.Fuser.
+// BuildView). It runs Compute's correlation step (music.Workspace.
+// Correlate, with the same row validation) and then beamPowerCorr's
+// loop over idx alone, so out[k] is bit-identical to Compute(rows).
+// Beam[idx[k]] — at a few percent of its cost, and allocating nothing.
+// With no indices it only validates the rows. An index outside the
+// steering table, or an out not the length of idx, is an error.
+func (w *Workspace) BeamAt(rows [][]complex128, idx []int, out []float64) error {
+	if len(out) != len(idx) {
+		return fmt.Errorf("%w: %d outputs for %d indices", music.ErrBadInput, len(out), len(idx))
+	}
+	tab := w.mw.Table()
+	for _, i := range idx {
+		if i < 0 || i >= tab.Len() {
+			return fmt.Errorf("%w: grid index %d outside %d angles", music.ErrBadInput, i, tab.Len())
+		}
+	}
+	if len(idx) == 0 {
+		return w.mw.CheckRows(rows)
+	}
+	if err := w.mw.Correlate(rows); err != nil {
+		return err
+	}
+	beamPowerCorr(out, w.mw.Correlation(), tab, idx)
+	return nil
 }

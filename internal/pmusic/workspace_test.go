@@ -1,11 +1,13 @@
 package pmusic
 
 import (
+	"errors"
 	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"dwatch/internal/cmatrix"
+	"dwatch/internal/music"
 	"dwatch/internal/rf"
 )
 
@@ -139,5 +141,110 @@ func TestPowerAtUniformGridMatchesLinearScan(t *testing.T) {
 		if got := s.PowerAt(theta); got != power[best] {
 			t.Fatalf("PowerAt(%v) = %v, want %v (bin %d)", theta, got, power[best], best)
 		}
+	}
+}
+
+// TestBeamAtBitIdenticalToCompute: the monitored-peak path returns
+// exactly Compute(rows).Beam at every grid index — each index alone,
+// and the whole grid in one call, in an order Compute never uses — for
+// several array sizes, on a workspace that also runs full spectra in
+// between.
+func TestBeamAtBitIdenticalToCompute(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, m := range []int{4, 8, 12} {
+		arr := testArray(t, m)
+		ws, err := NewWorkspace(arr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			x := synth(arr, []float64{0.5 + 0.5*float64(trial), 2.3}, []float64{1, 0.5}, 10, 0.05, rng)
+			rows := x.RowViews()
+			want, err := ws.Compute(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			one := make([]float64, 1)
+			for i := range want.Beam {
+				if err := ws.BeamAt(rows, []int{i}, one); err != nil {
+					t.Fatal(err)
+				}
+				if one[0] != want.Beam[i] {
+					t.Fatalf("m=%d trial %d: BeamAt(%d) = %v, want %v", m, trial, i, one[0], want.Beam[i])
+				}
+			}
+			idx := make([]int, len(want.Beam))
+			for i := range idx {
+				idx[i] = len(idx) - 1 - i
+			}
+			all := make([]float64, len(idx))
+			if err := ws.BeamAt(rows, idx, all); err != nil {
+				t.Fatal(err)
+			}
+			for k, i := range idx {
+				if all[k] != want.Beam[i] {
+					t.Fatalf("m=%d trial %d: reversed BeamAt[%d] = %v, want Beam[%d] = %v", m, trial, k, all[k], i, want.Beam[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBeamAtAllocs: evaluating monitored peaks allocates nothing.
+func TestBeamAtAllocs(t *testing.T) {
+	arr := testArray(t, 8)
+	x := synth(arr, []float64{1.3, 2.0}, []float64{1, 0.6}, 10, 0.05, rand.New(rand.NewSource(13)))
+	ws, err := NewWorkspace(arr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := x.RowViews()
+	idx := []int{40, 180, 300}
+	out := make([]float64, len(idx))
+	allocs := testing.AllocsPerRun(50, func() {
+		if err := ws.BeamAt(rows, idx, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("BeamAt allocates %.0f times per run, want 0", allocs)
+	}
+}
+
+// TestBeamAtRejects: BeamAt rejects the rows Compute rejects — with or
+// without indices to evaluate — and indices outside the steering table.
+func TestBeamAtRejects(t *testing.T) {
+	arr := testArray(t, 8)
+	ws, err := NewWorkspace(arr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := arr.Elements
+	good := [][]complex128{make([]complex128, m), make([]complex128, m)}
+	bad := map[string][][]complex128{
+		"empty":  {},
+		"narrow": {make([]complex128, m-1), make([]complex128, m-1)},
+		"ragged": {make([]complex128, m), make([]complex128, m+1)},
+	}
+	for name, rows := range bad {
+		if _, err := ws.Compute(rows); !errors.Is(err, music.ErrBadInput) {
+			t.Fatalf("%s: Compute err = %v, want music.ErrBadInput", name, err)
+		}
+		for _, idx := range [][]int{{10, 20}, nil} {
+			if err := ws.BeamAt(rows, idx, make([]float64, len(idx))); !errors.Is(err, music.ErrBadInput) {
+				t.Fatalf("%s with %d indices: BeamAt err = %v, want music.ErrBadInput", name, len(idx), err)
+			}
+		}
+	}
+	if err := ws.BeamAt(good, nil, nil); err != nil {
+		t.Fatalf("validation-only BeamAt on good rows: %v", err)
+	}
+	for _, idx := range [][]int{{-1}, {361}, {0, 1000}} {
+		if err := ws.BeamAt(good, idx, make([]float64, len(idx))); !errors.Is(err, music.ErrBadInput) {
+			t.Fatalf("indices %v: err = %v, want music.ErrBadInput", idx, err)
+		}
+	}
+	if err := ws.BeamAt(good, []int{1, 2}, make([]float64, 1)); !errors.Is(err, music.ErrBadInput) {
+		t.Fatalf("short out: err = %v, want music.ErrBadInput", err)
 	}
 }
