@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet test e2ebench-test race chaos bench bench-smoke bench-figures check serve-smoke replay-smoke replay-ab fleet-smoke cluster-smoke corpus perf-gate fuzz-wal clean
+.PHONY: all build fmt vet test e2ebench-test race chaos bench bench-smoke bench-figures check serve-smoke replay-smoke replay-ab fleet-smoke cluster-smoke corpus perf-gate fuzz clean
 
 all: check
 
@@ -135,11 +135,18 @@ replay-smoke:
 replay-ab:
 	./scripts/replay-ab.sh
 
-# Throw malformed bytes at the WAL segment scanner; it must stop with a
-# damage report, never panic. Run longer locally with FUZZTIME=5m.
+# Every native fuzz target over untrusted bytes, each for FUZZTIME (go
+# test runs one -fuzz target per invocation). The WAL segment scanner
+# must stop with a damage report, never panic; the LLRP report decoder
+# must refuse or accept whole, and the rows it accepts must be
+# rectangular with the header's dims and survive a re-marshal bit for
+# bit; the frame header parser must bound what it accepts. Run longer
+# locally with FUZZTIME=5m.
 FUZZTIME ?= 20s
-fuzz-wal:
-	$(GO) test -run '^$$' -fuzz FuzzSegmentScanner -fuzztime $(FUZZTIME) ./internal/wal/
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSegmentScanner$$' -fuzztime $(FUZZTIME) ./internal/wal/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalROAccessReport$$' -fuzztime $(FUZZTIME) ./internal/llrp/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime $(FUZZTIME) ./internal/llrp/
 
 clean:
 	$(GO) clean ./...

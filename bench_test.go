@@ -19,6 +19,7 @@ import (
 	"dwatch/internal/calib"
 	"dwatch/internal/channel"
 	"dwatch/internal/cmatrix"
+	"dwatch/internal/dwatch"
 	"dwatch/internal/experiments"
 	"dwatch/internal/geom"
 	"dwatch/internal/health"
@@ -570,36 +571,98 @@ func benchLocViews(tb testing.TB) ([]*loc.View, loc.Grid) {
 	return views, grid
 }
 
-// BenchmarkLocalizeGrid measures the Eq. 15 grid search: direct
-// recomputes each cell's AoA per call, indexed walks cached GridIndex
-// tables (built once, as the pipeline's fusion stage does).
+// benchLibraryViews returns the library preset's served evidence at
+// every tenth point of its 0.5 m test lattice (dwatch.System views, one
+// round each; points with fewer than two views are skipped, as the
+// pipeline skips them): the reflector-dense room whose fuse stage the
+// blocked search prunes.
+func benchLibraryViews(tb testing.TB) ([][]*loc.View, loc.Grid) {
+	tb.Helper()
+	sc, err := sim.Build(sim.LibraryConfig())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s := dwatch.New(sc)
+	if err := s.Calibrate(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := s.CollectBaseline(); err != nil {
+		tb.Fatal(err)
+	}
+	var fixes [][]*loc.View
+	for i, p := range sc.TestLocations(0.5) {
+		if i%10 != 0 {
+			continue
+		}
+		views, err := s.Views([]channel.Target{channel.HumanTarget(p)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(views) >= 2 {
+			fixes = append(fixes, views)
+		}
+	}
+	return fixes, sc.Grid
+}
+
+// BenchmarkLocalizeGrid measures the Eq. 15 grid search per fix on two
+// inputs. "gaussians" is two synthetic views with untruncated Gaussian
+// drops over 4×4 m: every block's bound stays near the peak, so the
+// blocked search prunes little. "library" is the library preset's
+// served evidence at lattice points (benchLibraryViews), where it
+// evaluates about a tenth of the 28,341 cells. direct recomputes each
+// cell's AoA per call; indexed runs the blocked search over cached
+// GridIndex tables in one warm loc.Workspace, as a pipeline fusion
+// shard does, and allocates nothing.
 func BenchmarkLocalizeGrid(b *testing.B) {
-	views, grid := benchLocViews(b)
-	b.Run("direct", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := loc.Localize(views, grid, loc.Options{}); err != nil {
-				b.Fatal(err)
+	gaussViews, gaussGrid := benchLocViews(b)
+	libFixes, libGrid := benchLibraryViews(b)
+	for _, in := range []struct {
+		name  string
+		fixes [][]*loc.View
+		grid  loc.Grid
+	}{
+		{"gaussians", [][]*loc.View{gaussViews}, gaussGrid},
+		{"library", libFixes, libGrid},
+	} {
+		b.Run(in.name+"/direct", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := loc.Localize(in.fixes[i%len(in.fixes)], in.grid, loc.Options{}); err != nil && err != loc.ErrNotCovered {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("indexed", func(b *testing.B) {
-		indexes := make([]*loc.GridIndex, len(views))
-		for i, v := range views {
-			g, err := loc.NewGridIndex(v.Array, grid, len(v.Angles))
-			if err != nil {
-				b.Fatal(err)
+		})
+		b.Run(in.name+"/indexed", func(b *testing.B) {
+			byArray := map[*rf.Array]*loc.GridIndex{}
+			indexes := make([][]*loc.GridIndex, len(in.fixes))
+			for f, views := range in.fixes {
+				for _, v := range views {
+					g := byArray[v.Array]
+					if g == nil {
+						var err error
+						if g, err = loc.NewGridIndex(v.Array, in.grid, len(v.Angles)); err != nil {
+							b.Fatal(err)
+						}
+						byArray[v.Array] = g
+					}
+					indexes[f] = append(indexes[f], g)
+				}
 			}
-			indexes[i] = g
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := loc.LocalizeIndexed(views, indexes, grid, loc.Options{}); err != nil {
-				b.Fatal(err)
+			var w loc.Workspace
+			for f := range in.fixes {
+				_, _ = w.LocalizeIndexed(in.fixes[f], indexes[f], in.grid, loc.Options{})
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := i % len(in.fixes)
+				if _, err := w.LocalizeIndexed(in.fixes[f], indexes[f], in.grid, loc.Options{}); err != nil && err != loc.ErrNotCovered {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkPipelineThroughput is the scaling baseline for the

@@ -27,6 +27,9 @@ type Fuser struct {
 
 	round1    map[string]map[string]*pmusic.Spectrum
 	monitored map[string]map[string][]music.Peak
+	// keys holds each reader's baseline tag keys in sorted order, kept
+	// by addReference as tags arrive.
+	keys map[string][]string
 }
 
 // NewFuser creates a fuser for readers identified by ID with the given
@@ -37,6 +40,7 @@ func NewFuser(arrays map[string]*rf.Array, cfg Config) *Fuser {
 		arrays:    arrays,
 		round1:    map[string]map[string]*pmusic.Spectrum{},
 		monitored: map[string]map[string][]music.Peak{},
+		keys:      map[string][]string{},
 	}
 }
 
@@ -55,7 +59,7 @@ func (f *Fuser) AddBaseline(readerID string, epc []byte, sp *pmusic.Spectrum) {
 	}
 	b1, ok := perTag[key]
 	if !ok {
-		perTag[key] = sp
+		f.addReference(readerID, key, sp)
 		return
 	}
 	// Confirmation round: compute the stable peak set.
@@ -80,6 +84,21 @@ func (f *Fuser) AddBaseline(readerID string, epc []byte, sp *pmusic.Spectrum) {
 		stable = append(stable, p)
 	}
 	f.monitored[readerID][key] = stable
+}
+
+// addReference records a tag's reference-round spectrum and keeps the
+// reader's sorted tag keys; the reader's maps already exist.
+func (f *Fuser) addReference(readerID, key string, sp *pmusic.Spectrum) {
+	f.round1[readerID][key] = sp
+	keys := f.keys[readerID]
+	i := sort.SearchStrings(keys, key)
+	if i < len(keys) && keys[i] == key {
+		return
+	}
+	keys = append(keys, "")
+	copy(keys[i+1:], keys[i:])
+	keys[i] = key
+	f.keys[readerID] = keys
 }
 
 // FinishBaseline applies a reader's absolute peak floor: monitored
@@ -126,16 +145,7 @@ func (f *Fuser) MonitoredPeaks(readerID string, epc []byte) []music.Peak {
 // order — the order BuildView folds them in — or nil when the reader
 // has no baseline.
 func (f *Fuser) Tags(readerID string) []string {
-	base := f.round1[readerID]
-	if base == nil {
-		return nil
-	}
-	keys := make([]string, 0, len(base))
-	for k := range base {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	return append([]string(nil), f.keys[readerID]...)
 }
 
 // Evidence samples a reader's online spectra at its monitored peaks:
@@ -182,15 +192,16 @@ func (f *Fuser) BuildView(readerID string, online map[string][]float64) *loc.Vie
 	if arr == nil || base == nil {
 		return nil
 	}
+	mon := f.monitored[readerID]
 	var sum []float64
 	var angles []float64
-	for _, epc := range f.Tags(readerID) {
+	for _, epc := range f.keys[readerID] {
 		b := base[epc]
 		o, ok := online[epc]
 		if !ok {
 			continue // tag missed this cycle (inventory), skip
 		}
-		peaks := f.monitored[readerID][epc]
+		peaks := mon[epc]
 		if len(peaks) == 0 || len(o) != len(peaks) {
 			continue
 		}
@@ -213,19 +224,10 @@ func (f *Fuser) BuildView(readerID string, online map[string][]float64) *loc.Vie
 		// estimated source count, so a weak path flickering out of the
 		// subspace estimate cannot fake a full drop — only a genuine
 		// power change registers.
-		drops := make([]float64, len(peaks))
 		dropped := 0
 		var maxDrop float64
 		for i, p := range peaks {
-			bb := b.Beam[p.Index]
-			if bb <= 0 {
-				continue
-			}
-			d := (bb - o[i]) / bb
-			if d > 1 {
-				d = 1
-			}
-			drops[i] = d
+			d := pathDrop(b.Beam[p.Index], o[i])
 			if d >= f.cfg.DropFloor {
 				dropped++
 				if d > maxDrop {
@@ -243,11 +245,12 @@ func (f *Fuser) BuildView(readerID string, online map[string][]float64) *loc.Vie
 			continue
 		}
 		for i, p := range peaks {
-			if drops[i] < f.cfg.DropFloor {
+			d := pathDrop(b.Beam[p.Index], o[i])
+			if d < f.cfg.DropFloor {
 				continue
 			}
 			w := math.Sqrt(p.Amplitude / maxAmp)
-			addBump(angles, sum, p.Angle, drops[i]*w, f.cfg.BumpSigma)
+			addBump(angles, sum, p.Angle, d*w, f.cfg.BumpSigma)
 		}
 	}
 	if sum == nil {
@@ -263,4 +266,19 @@ func (f *Fuser) BuildView(readerID string, online map[string][]float64) *loc.Vie
 		}
 	}
 	return &loc.View{Array: arr, Angles: angles, Drop: sum}
+}
+
+// pathDrop is the fraction of a monitored path's baseline beam power
+// bb that the online beam power o lost, capped at 1; 0 when the
+// baseline has no power there. BuildView evaluates it twice per peak
+// rather than keep a slice: the same expression gives the same bits.
+func pathDrop(bb, o float64) float64 {
+	if bb <= 0 {
+		return 0
+	}
+	d := (bb - o) / bb
+	if d > 1 {
+		d = 1
+	}
+	return d
 }

@@ -122,7 +122,7 @@ func (s *System) LoadState(r io.Reader) error {
 				Power:  sp.Power,
 				Beam:   sp.Beam,
 			}
-			fuser.round1[rid][string(epc)] = spec
+			fuser.addReference(rid, string(epc), spec)
 			for _, p := range st.Monitored[rid][key] {
 				if p.Index < 0 || p.Index >= sp.GridSize {
 					return fmt.Errorf("%w: peak index %d for %q/%s", ErrBadState, p.Index, rid, key)

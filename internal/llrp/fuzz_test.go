@@ -61,7 +61,7 @@ func TestUnmarshalBitFlips(t *testing.T) {
 			continue
 		}
 		for _, tr := range rep.Reports {
-			if len(tr.Snapshot) > maxSnapshotDim {
+			if len(tr.Rows(nil)) > maxSnapshotDim {
 				t.Fatalf("bit %d: oversized snapshot accepted", i)
 			}
 		}

@@ -95,12 +95,13 @@ func TestROAccessReportRoundTrip(t *testing.T) {
 	if tr.AntennaID != 3 || tr.PeakRSSIcdBm != -6450 {
 		t.Errorf("antenna/rssi = %d/%d", tr.AntennaID, tr.PeakRSSIcdBm)
 	}
-	if len(tr.Snapshot) != 2 || len(tr.Snapshot[0]) != 2 {
-		t.Fatalf("snapshot shape %dx%d", len(tr.Snapshot), len(tr.Snapshot[0]))
+	snap := tr.Rows(nil)
+	if len(snap) != 2 || len(snap[0]) != 2 {
+		t.Fatalf("snapshot shape %dx%d", len(snap), len(snap[0]))
 	}
 	// float32 precision round trip.
-	if tr.Snapshot[0][0] != 1+2i || tr.Snapshot[1][0] != -0.5+0.25i {
-		t.Errorf("snapshot values: %v", tr.Snapshot)
+	if snap[0][0] != 1+2i || snap[1][0] != -0.5+0.25i {
+		t.Errorf("snapshot values: %v", snap)
 	}
 }
 
@@ -137,8 +138,11 @@ func TestSnapshotFuzzRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := unmarshalSnapshot(enc)
-		if err != nil || len(dec) != r {
+		if err := checkSnapshot(enc); err != nil {
+			return false
+		}
+		dec := (&TagReport{wire: enc}).Rows(nil)
+		if len(dec) != r {
 			return false
 		}
 		for i := range s {
@@ -340,5 +344,61 @@ func TestROSpecRoundTrip(t *testing.T) {
 	bad3 := appendParam(nil, ParamROSpecSnapshots, []byte{1, 2, 3})
 	if _, err := UnmarshalROSpec(bad3); !errors.Is(err, ErrBadParam) {
 		t.Errorf("bad snapshots: %v", err)
+	}
+}
+
+// TestDecodedRowsIntoWarmBuf: a decoded report keeps its snapshot
+// bytes and decodes them on demand. Into a warm SnapshotBuf the decode
+// allocates nothing, the rows carry the float32 samples exactly, and
+// re-marshaling writes the payload back byte for byte.
+func TestDecodedRowsIntoWarmBuf(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rep := &ROAccessReport{ReaderID: "hall/reader-1", Seq: 9}
+	for tag := 0; tag < 3; tag++ {
+		snap := make([][]complex128, 10)
+		for i := range snap {
+			snap[i] = make([]complex128, 8)
+			for j := range snap[i] {
+				snap[i][j] = complex(float64(float32(rng.NormFloat64())), float64(float32(rng.NormFloat64())))
+			}
+		}
+		rep.Reports = append(rep.Reports, TagReport{EPC: []byte{byte(tag + 1)}, Snapshot: snap})
+	}
+	payload, err := rep.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalROAccessReport(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf SnapshotBuf
+	for i := range got.Reports {
+		if got.Reports[i].Snapshot != nil {
+			t.Fatal("decoded report materialized its samples")
+		}
+		rows := got.Reports[i].Rows(&buf)
+		for r := range rows {
+			for c := range rows[r] {
+				if rows[r][c] != rep.Reports[i].Snapshot[r][c] {
+					t.Fatalf("tag %d [%d][%d] = %v, want %v", i, r, c, rows[r][c], rep.Reports[i].Snapshot[r][c])
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		for i := range got.Reports {
+			got.Reports[i].Rows(&buf)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("decode into warm buf: %v allocs, want 0", allocs)
+	}
+	again, err := got.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, payload) {
+		t.Fatal("re-marshaled decoded report differs from its payload")
 	}
 }

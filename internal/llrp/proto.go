@@ -142,8 +142,58 @@ type TagReport struct {
 	PeakRSSIcdBm int16 // centi-dBm
 	// Snapshot is the N×M per-antenna I/Q sample matrix (rows =
 	// snapshots, cols = antennas), the vendor-extension payload AoA
-	// processing consumes.
+	// processing consumes, of a report built in memory. A decoded
+	// report leaves it nil and keeps the validated wire samples
+	// instead; Rows reads either.
 	Snapshot [][]complex128
+	// wire is a decoded report's snapshot parameter value (dims and
+	// float32 samples), validated and aliasing the decoded payload.
+	// When set, Rows and Marshal read it instead of Snapshot.
+	wire []byte
+}
+
+// SnapshotBuf is caller-owned scratch that TagReport.Rows decodes wire
+// samples into. The zero value is ready; it grows to the largest
+// snapshot decoded into it and is reused after. Not safe for
+// concurrent use.
+type SnapshotBuf struct {
+	samples []complex128
+	rows    [][]complex128
+}
+
+// Rows returns the tag's snapshot rows. A report built in memory
+// returns its Snapshot. A decoded report decodes its wire samples into
+// buf — float32 to float64, which is exact — and the rows are valid
+// until buf's next use; with a nil buf they are freshly allocated and
+// the caller's to keep. Decoded rows are rectangular, with the dims
+// the wire header declares.
+func (tr *TagReport) Rows(buf *SnapshotBuf) [][]complex128 {
+	if tr.wire == nil {
+		return tr.Snapshot
+	}
+	if buf == nil {
+		buf = new(SnapshotBuf)
+	}
+	rows := int(binary.BigEndian.Uint16(tr.wire[0:2]))
+	cols := int(binary.BigEndian.Uint16(tr.wire[2:4]))
+	n := rows * cols
+	if cap(buf.samples) < n {
+		buf.samples = make([]complex128, n)
+	}
+	if cap(buf.rows) < rows {
+		buf.rows = make([][]complex128, rows)
+	}
+	samples, out := buf.samples[:n], buf.rows[:rows]
+	v := tr.wire[4 : 4+8*n]
+	for i := range samples {
+		re := math.Float32frombits(binary.BigEndian.Uint32(v[8*i:]))
+		im := math.Float32frombits(binary.BigEndian.Uint32(v[8*i+4:]))
+		samples[i] = complex(float64(re), float64(im))
+	}
+	for r := range out {
+		out[r] = samples[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return out
 }
 
 // ROAccessReport is the inventory report message.
@@ -156,7 +206,8 @@ type ROAccessReport struct {
 	Reports []TagReport
 }
 
-// Marshal renders the report into a message payload.
+// Marshal renders the report into a message payload. A decoded tag's
+// snapshot is written back verbatim from its kept wire bytes.
 func (r *ROAccessReport) Marshal() ([]byte, error) {
 	var payload []byte
 	payload = appendParam(payload, ParamReaderID, []byte(r.ReaderID))
@@ -176,9 +227,12 @@ func (r *ROAccessReport) Marshal() ([]byte, error) {
 		var rssi [2]byte
 		binary.BigEndian.PutUint16(rssi[:], uint16(tr.PeakRSSIcdBm))
 		inner = appendParam(inner, ParamPeakRSSI, rssi[:])
-		snap, err := marshalSnapshot(tr.Snapshot)
-		if err != nil {
-			return nil, err
+		snap := tr.wire
+		if snap == nil {
+			var err error
+			if snap, err = marshalSnapshot(tr.Snapshot); err != nil {
+				return nil, err
+			}
 		}
 		inner = appendParam(inner, ParamSnapshotMatrix, snap)
 		payload = appendParam(payload, ParamTagReportData, inner)
@@ -186,7 +240,14 @@ func (r *ROAccessReport) Marshal() ([]byte, error) {
 	return payload, nil
 }
 
-// UnmarshalROAccessReport parses an RO_ACCESS_REPORT payload.
+// UnmarshalROAccessReport parses an RO_ACCESS_REPORT payload. Every
+// parameter is validated, snapshot dims and byte counts included, so a
+// malformed report is refused whole. Snapshot samples are not
+// materialized: each TagReport keeps its validated snapshot bytes,
+// which alias payload, and decodes them on demand (TagReport.Rows). The
+// caller must therefore not reuse or modify payload while the report
+// is in use — hand over a buffer of its own, as Conn.Recv and the WAL
+// scanner do (each returns a fresh one per message).
 func UnmarshalROAccessReport(payload []byte) (*ROAccessReport, error) {
 	out := &ROAccessReport{}
 	err := walkParams(payload, func(typ uint16, val []byte) error {
@@ -215,11 +276,10 @@ func UnmarshalROAccessReport(payload []byte) (*ROAccessReport, error) {
 					}
 					tr.PeakRSSIcdBm = int16(binary.BigEndian.Uint16(v))
 				case ParamSnapshotMatrix:
-					s, err := unmarshalSnapshot(v)
-					if err != nil {
+					if err := checkSnapshot(v); err != nil {
 						return err
 					}
-					tr.Snapshot = s
+					tr.wire = v
 				}
 				return nil // unknown inner params are skipped
 			}); err != nil {
@@ -266,34 +326,25 @@ func marshalSnapshot(s [][]complex128) ([]byte, error) {
 	return out, nil
 }
 
-func unmarshalSnapshot(v []byte) ([][]complex128, error) {
+// checkSnapshot validates an encoded snapshot: its dims, that the
+// byte count matches them exactly, and that it is not degenerate (one
+// dim zero, the other not).
+func checkSnapshot(v []byte) error {
 	if len(v) < 4 {
-		return nil, fmt.Errorf("%w: snapshot header", ErrBadParam)
+		return fmt.Errorf("%w: snapshot header", ErrBadParam)
 	}
 	rows := int(binary.BigEndian.Uint16(v[0:2]))
 	cols := int(binary.BigEndian.Uint16(v[2:4]))
 	if rows > maxSnapshotDim || cols > maxSnapshotDim {
-		return nil, fmt.Errorf("%w: snapshot %dx%d too large", ErrBadParam, rows, cols)
+		return fmt.Errorf("%w: snapshot %dx%d too large", ErrBadParam, rows, cols)
 	}
 	if len(v) != 4+rows*cols*8 {
-		return nil, fmt.Errorf("%w: snapshot payload %d for %dx%d", ErrBadParam, len(v), rows, cols)
+		return fmt.Errorf("%w: snapshot payload %d for %dx%d", ErrBadParam, len(v), rows, cols)
 	}
 	if rows > 0 && cols == 0 || rows == 0 && cols > 0 {
-		return nil, fmt.Errorf("%w: degenerate snapshot %dx%d", ErrBadParam, rows, cols)
+		return fmt.Errorf("%w: degenerate snapshot %dx%d", ErrBadParam, rows, cols)
 	}
-	out := make([][]complex128, rows)
-	off := 4
-	for r := 0; r < rows; r++ {
-		row := make([]complex128, cols)
-		for c := 0; c < cols; c++ {
-			re := math.Float32frombits(binary.BigEndian.Uint32(v[off : off+4]))
-			im := math.Float32frombits(binary.BigEndian.Uint32(v[off+4 : off+8]))
-			row[c] = complex(float64(re), float64(im))
-			off += 8
-		}
-		out[r] = row
-	}
-	return out, nil
+	return nil
 }
 
 // ReaderCapabilities is a GET_READER_CAPABILITIES_RESPONSE payload:

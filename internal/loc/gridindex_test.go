@@ -59,7 +59,7 @@ func TestLocalizeIndexedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := LocalizeIndexed(views, mustIndexes(t, views, grid), grid, Options{})
+		got, err := new(Workspace).LocalizeIndexed(views, mustIndexes(t, views, grid), grid, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,17 +107,17 @@ func TestLocalizeIndexedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LocalizeIndexed([]*View{v}, nil, grid, Options{}); err == nil {
+	if _, err := new(Workspace).LocalizeIndexed([]*View{v}, nil, grid, Options{}); err == nil {
 		t.Error("missing index tables must be rejected")
 	}
-	if _, err := LocalizeIndexed([]*View{v}, []*GridIndex{nil}, grid, Options{}); err == nil {
+	if _, err := new(Workspace).LocalizeIndexed([]*View{v}, []*GridIndex{nil}, grid, Options{}); err == nil {
 		t.Error("nil index table must be rejected")
 	}
 	wrongBins, err := NewGridIndex(arr, grid, 91)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LocalizeIndexed([]*View{v}, []*GridIndex{wrongBins}, grid, Options{}); err == nil {
+	if _, err := new(Workspace).LocalizeIndexed([]*View{v}, []*GridIndex{wrongBins}, grid, Options{}); err == nil {
 		t.Error("angle-bin mismatch must be rejected")
 	}
 	smaller := grid
@@ -126,7 +126,7 @@ func TestLocalizeIndexedValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LocalizeIndexed([]*View{v}, []*GridIndex{wrongGrid}, grid, Options{}); err == nil {
+	if _, err := new(Workspace).LocalizeIndexed([]*View{v}, []*GridIndex{wrongGrid}, grid, Options{}); err == nil {
 		t.Error("grid-shape mismatch must be rejected")
 	}
 	if _, err := NewGridIndex(arr, grid, 0); err == nil {

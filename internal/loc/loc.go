@@ -393,52 +393,6 @@ func intersectRays(p1, d1, p2, d2 geom.Point) (geom.Point, bool) {
 	return geom.Pt2(p1.X+t1*d1.X, p1.Y+t1*d1.Y), true
 }
 
-// FuseCandidates implements the paper's explicit outlier rejection:
-// candidate locations triangulated from wrong (reflection) angles
-// scatter at random or far outside the monitoring area, while correct
-// angles agree. All pairwise candidates are clustered with radius
-// clusterR and the centroid of the largest cluster is returned.
-func FuseCandidates(obs []AngleObservation, grid Grid, clusterR float64) (geom.Point, error) {
-	var cands []geom.Point
-	for i := 0; i < len(obs); i++ {
-		for j := i + 1; j < len(obs); j++ {
-			if obs[i].Array == obs[j].Array {
-				// A target cannot block two paths at one reader at the
-				// same time (Section 4.3) — skip same-reader pairs.
-				continue
-			}
-			cands = append(cands, Triangulate(obs[i], obs[j], grid)...)
-		}
-	}
-	if len(cands) == 0 {
-		return geom.Point{}, ErrNotCovered
-	}
-	// Greedy clustering: for each candidate, count neighbours within
-	// clusterR; take the densest cluster's centroid.
-	bestCount, bestIdx := 0, 0
-	for i, c := range cands {
-		count := 0
-		for _, d := range cands {
-			if c.Dist2D(d) <= clusterR {
-				count++
-			}
-		}
-		if count > bestCount {
-			bestCount, bestIdx = count, i
-		}
-	}
-	var cx, cy float64
-	n := 0
-	for _, d := range cands {
-		if cands[bestIdx].Dist2D(d) <= clusterR {
-			cx += d.X
-			cy += d.Y
-			n++
-		}
-	}
-	return geom.Pt(cx/float64(n), cy/float64(n), grid.Z), nil
-}
-
 // Tracker smooths a sequence of localization fixes for a moving target
 // (Section 8: ≈0.1 s snapshots, human walking 1-2 m/s). It applies a
 // max-speed gate and exponential smoothing, and coasts through

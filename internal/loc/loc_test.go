@@ -244,39 +244,6 @@ func TestTriangulateParallelRays(t *testing.T) {
 	}
 }
 
-func TestFuseCandidatesRejectsOutlier(t *testing.T) {
-	// Three readers agree on the target; one reader also reports a wrong
-	// reflection angle. The densest cluster must win.
-	a1 := mkArray(t, geom.Pt(2, 0, 0), geom.Pt2(1, 0))
-	a2 := mkArray(t, geom.Pt(0, 2, 0), geom.Pt2(0, 1))
-	a3 := mkArray(t, geom.Pt(2, 8, 0), geom.Pt2(1, 0))
-	target := geom.Pt2(5, 4)
-	obs := []AngleObservation{
-		{Array: a1, Angle: a1.AngleTo(target)},
-		{Array: a1, Angle: a1.AngleTo(target) + rf.Rad(35)}, // wrong angle
-		{Array: a2, Angle: a2.AngleTo(target)},
-		{Array: a3, Angle: a3.AngleTo(target)},
-	}
-	p, err := FuseCandidates(obs, roomGrid(), 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := p.Dist2D(target); d > 0.3 {
-		t.Errorf("fused %v is %.2f m from target", p, d)
-	}
-}
-
-func TestFuseCandidatesSkipsSameReaderPairs(t *testing.T) {
-	a1 := mkArray(t, geom.Pt(2, 0, 0), geom.Pt2(1, 0))
-	obs := []AngleObservation{
-		{Array: a1, Angle: 1.0},
-		{Array: a1, Angle: 1.5},
-	}
-	if _, err := FuseCandidates(obs, roomGrid(), 0.3); !errors.Is(err, ErrNotCovered) {
-		t.Errorf("err = %v, want ErrNotCovered (same-reader pairs skipped)", err)
-	}
-}
-
 func TestTrackerSmoothing(t *testing.T) {
 	tr := &Tracker{}
 	p := tr.Update(geom.Pt2(1, 1), true)

@@ -104,8 +104,8 @@ type readerSeq struct {
 // state, so fusion for independent sequences runs in parallel. The
 // fuser is shared under a read-write lock (baseline writes are rare
 // and confined to startup; Evidence and BuildView are read-only), and
-// the grid-index cache is shared under its own lock since entries are
-// immutable.
+// the per-reader grid indexes, built in New, are immutable and shared
+// without one.
 type assembler struct {
 	p     *Pipeline
 	fuser *dwatch.Fuser
@@ -138,16 +138,9 @@ type assembler struct {
 	baselineMu      sync.Mutex
 	baselineApplied map[uint32]int
 
-	// gridIdx caches each array's cell→angle-bin table for the search
-	// grid. GridIndex values are immutable and share-safe; the lock
-	// only guards the map itself.
-	gridMu  sync.Mutex
-	gridIdx map[gridIdxKey]*loc.GridIndex
-}
-
-type gridIdxKey struct {
-	arr  *rf.Array
-	bins int
+	// indexes holds each reader's cell→angle-bin table for the search
+	// grid (gridIndexes); read-only after New.
+	indexes map[string]*loc.GridIndex
 }
 
 // shard owns the online/done grouping state for the sequences with
@@ -167,16 +160,23 @@ type shard struct {
 	// they finished) so late reports are counted instead of
 	// resurrecting a group; pruned by the sweeper.
 	done map[uint32]time.Time
+
+	// Fusion scratch, used only by whoever fuses this shard's
+	// sequences: the shard goroutine, or after teardown the single
+	// caller that applies reports inline. Never under mu.
+	search  loc.Workspace
+	views   []*loc.View
+	viewIdx []*loc.GridIndex
 }
 
-func newAssembler(p *Pipeline, fuser *dwatch.Fuser) *assembler {
+func newAssembler(p *Pipeline, fuser *dwatch.Fuser, indexes map[string]*loc.GridIndex) *assembler {
 	a := &assembler{
 		p:               p,
 		fuser:           fuser,
 		seqs:            map[string]*readerSeq{},
 		shardsStopped:   make(chan struct{}),
 		baselineApplied: map[uint32]int{},
-		gridIdx:         map[gridIdxKey]*loc.GridIndex{},
+		indexes:         indexes,
 	}
 	for id := range p.cfg.Arrays {
 		// Restored-baseline pipelines start every reader past the
@@ -415,7 +415,7 @@ func (s *shard) accept(g *report) {
 	ready, degraded := s.takeIfReady(g.seq, grp)
 	s.mu.Unlock()
 	if ready {
-		a.fuse(g.seq, grp, degraded)
+		s.fuse(g.seq, grp, degraded)
 	}
 }
 
@@ -512,15 +512,17 @@ func (s *shard) reevaluate() {
 		}
 		s.mu.Unlock()
 		if ready {
-			s.a.fuse(seq, grp, degraded)
+			s.fuse(seq, grp, degraded)
 		}
 	}
 }
 
 // fuse builds drop views for one complete (or quorum-degraded)
 // sequence and localizes. Runs on the owning shard's goroutine with no
-// shard lock held; the fuser is read-locked for view building only.
-func (a *assembler) fuse(seq uint32, grp *seqGroup, degraded bool) {
+// shard lock held, in the shard's fusion scratch; the fuser is
+// read-locked for view building only.
+func (s *shard) fuse(seq uint32, grp *seqGroup, degraded bool) {
+	a := s.a
 	start := a.p.now()
 	span := a.p.ins.span(stageFuse, start)
 	trc := a.p.cfg.Tracer.Active(seq)
@@ -541,23 +543,28 @@ func (a *assembler) fuse(seq uint32, grp *seqGroup, degraded bool) {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
+	views, indexes := s.views[:0], s.viewIdx[:0]
 	a.fuserMu.RLock()
-	var views []*loc.View
 	for _, id := range ids {
 		if v := a.fuser.BuildView(id, grp.byReader[id]); v != nil {
 			views = append(views, v)
+			indexes = append(indexes, a.indexes[id])
 		}
 	}
 	a.fuserMu.RUnlock()
 	fix := Fix{Seq: seq, Views: len(views), Readers: ids, Degraded: degraded, TraceID: trc.ID()}
 	if len(views) < 2 {
 		fix.Err = fmt.Errorf("pipeline: seq %d: evidence from only %d readers", seq, len(views))
-	} else if res, err := a.localize(views); err != nil {
+	} else if res, err := s.search.LocalizeIndexed(views, indexes, a.p.cfg.Grid, a.p.cfg.Loc); err != nil {
 		fix.Err = err
 	} else {
 		fix.Pos = res.Pos
 		fix.Confidence = res.Confidence
 	}
+	// Keep the scratch's capacity but not this sequence's views, so
+	// the scratch does not pin their drop arrays until the next fuse.
+	clear(views)
+	s.views, s.viewIdx = views, indexes
 	end := a.p.now()
 	a.p.fuseHist.ObserveDuration(span.EndAt(end))
 	trc.Span(tracing.StageFuse, "", "", start, end, 0)
@@ -585,33 +592,6 @@ func (a *assembler) fuse(seq uint32, grp *seqGroup, degraded bool) {
 	case a.p.fixes <- fix:
 	case <-a.p.stop:
 	}
-}
-
-// localize runs the grid search through the cached per-array
-// GridIndex tables (bit-identical to loc.Localize), falling back to
-// the direct search if a table cannot be built for some view. The
-// cache lock covers only the map; the table walk runs unlocked since
-// GridIndex values are immutable.
-func (a *assembler) localize(views []*loc.View) (loc.Result, error) {
-	indexes := make([]*loc.GridIndex, len(views))
-	for i, v := range views {
-		k := gridIdxKey{arr: v.Array, bins: len(v.Angles)}
-		a.gridMu.Lock()
-		g, ok := a.gridIdx[k]
-		a.gridMu.Unlock()
-		if !ok {
-			var err error
-			g, err = loc.NewGridIndex(v.Array, a.p.cfg.Grid, len(v.Angles))
-			if err != nil {
-				return loc.Localize(views, a.p.cfg.Grid, a.p.cfg.Loc)
-			}
-			a.gridMu.Lock()
-			a.gridIdx[k] = g
-			a.gridMu.Unlock()
-		}
-		indexes[i] = g
-	}
-	return loc.LocalizeIndexed(views, indexes, a.p.cfg.Grid, a.p.cfg.Loc)
 }
 
 // sweep evicts sequence groups older than SeqTTL across every shard

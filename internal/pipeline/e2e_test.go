@@ -75,7 +75,7 @@ func syncFixes(tb testing.TB, sc *sim.Scenario, reports []*llrp.ROAccessReport) 
 		arr := arrays[rep.ReaderID]
 		spectra := map[string]*pmusic.Spectrum{}
 		for _, tr := range rep.Reports {
-			x, err := cmatrix.FromRows(tr.Snapshot)
+			x, err := cmatrix.FromRows(tr.Rows(nil))
 			if err != nil {
 				continue
 			}
@@ -185,27 +185,53 @@ func TestEndToEndMatchesSynchronous(t *testing.T) {
 				t.Fatal(err)
 			}
 			reports := genReports(t, sc, tc.rounds, 6)
-			want := syncFixes(t, sc, reports)
-			got := pipelineFixes(t, sc, reports, 4)
-
-			if len(want) == 0 {
-				t.Fatal("reference path produced no fixes — scenario too weak to compare")
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pipeline fixes = %d, reference = %d", len(got), len(want))
-			}
-			for seq, ref := range want {
-				f, ok := got[seq]
-				if !ok {
-					t.Fatalf("seq %d: fixed by reference, missed by pipeline", seq)
-				}
-				if f.Pos != ref.Pos || f.Confidence != ref.Confidence {
-					t.Fatalf("seq %d: pipeline fix %v conf %v vs reference %v conf %v",
-						seq, f.Pos, f.Confidence, ref.Pos, ref.Confidence)
-				}
-			}
+			matchReference(t, syncFixes(t, sc, reports), pipelineFixes(t, sc, reports, 4))
+			// The served path ingests decoded reports: each worker
+			// decodes a tag's kept wire samples into its own scratch.
+			wire := wireReports(t, reports)
+			matchReference(t, syncFixes(t, sc, wire), pipelineFixes(t, sc, wire, 4))
 		})
 	}
+}
+
+// matchReference asserts the pipeline emitted exactly the reference's
+// fixes, bit for bit.
+func matchReference(t *testing.T, want map[uint32]loc.Result, got map[uint32]Fix) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatal("reference path produced no fixes — scenario too weak to compare")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("pipeline fixes = %d, reference = %d", len(got), len(want))
+	}
+	for seq, ref := range want {
+		f, ok := got[seq]
+		if !ok {
+			t.Fatalf("seq %d: fixed by reference, missed by pipeline", seq)
+		}
+		if f.Pos != ref.Pos || f.Confidence != ref.Confidence {
+			t.Fatalf("seq %d: pipeline fix %v conf %v vs reference %v conf %v",
+				seq, f.Pos, f.Confidence, ref.Pos, ref.Confidence)
+		}
+	}
+}
+
+// wireReports round-trips reports through the LLRP encoding, as a
+// reader connection delivers them: decoded, with samples kept as
+// float32 wire bytes.
+func wireReports(tb testing.TB, reports []*llrp.ROAccessReport) []*llrp.ROAccessReport {
+	tb.Helper()
+	out := make([]*llrp.ROAccessReport, len(reports))
+	for i, rep := range reports {
+		payload, err := rep.Marshal()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if out[i], err = llrp.UnmarshalROAccessReport(payload); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return out
 }
 
 // TestWorkerCountIndependence: fixes must be bit-identical no matter

@@ -9,12 +9,14 @@
 //  1. Ingest — Ingest validates a report against the deployment,
 //     stamps it with the reader's round number, and enqueues the whole
 //     report as one job on a bounded queue (one channel operation per
-//     report, however many tags it carries). When the queue is full
-//     the configured OverloadPolicy decides: Block applies
-//     backpressure to the reader connection, DropOldest sheds the
-//     stalest queued report so fresh evidence wins.
+//     report, however many tags it carries). It decodes no samples: a
+//     decoded report carries each tag's validated wire bytes. When the
+//     queue is full the configured OverloadPolicy decides: Block
+//     applies backpressure to the reader connection, DropOldest sheds
+//     the stalest queued report so fresh evidence wins.
 //  2. Spectrum workers — a pool of Workers goroutines evaluates each
-//     job's snapshots per tag. Baseline rounds run the full P-MUSIC
+//     job's snapshots per tag, decoding each tag's samples once into
+//     scratch the worker owns. Baseline rounds run the full P-MUSIC
 //     spectrum. Once a reader's baseline is confirmed its plan is out,
 //     and an online tag costs only its correlation and the Eq. 13 beam
 //     power at its monitored peaks (none: row validation only); one
@@ -296,7 +298,7 @@ type Pipeline struct {
 
 	// compute and now are test seams. compute replaces the full
 	// spectrum path only; it is nil in production, and each worker
-	// then runs P-MUSIC straight from the decoded snapshot rows
+	// then runs P-MUSIC straight from the tag's snapshot rows
 	// through its own reusable per-array pmusic.Workspace
 	// (bit-identical to pmusic.Compute, allocating only the result).
 	compute func(snap [][]complex128, arr *rf.Array, opts pmusic.Options) (*pmusic.Spectrum, error)
@@ -339,9 +341,31 @@ func newFromConfig(cfg Config) (*Pipeline, error) {
 			p.rounds[id] = cfg.BaselineRounds
 		}
 	}
-	p.asm = newAssembler(p, fuser)
+	indexes, err := gridIndexes(cfg)
+	if err != nil {
+		return nil, err
+	}
+	p.asm = newAssembler(p, fuser, indexes)
 	p.ins = newInstruments(cfg.Obs, p)
 	return p, nil
+}
+
+// gridIndexes builds each reader's cell→angle-bin table for the search
+// grid at the scan-grid size every view of the pipeline has: baseline
+// spectra come from the workers' P-MUSIC runs, and a restored
+// baseline must match them (checkRestoredGrid). Built here, once, so
+// no fix pays for it.
+func gridIndexes(cfg Config) (map[string]*loc.GridIndex, error) {
+	bins := cfg.PMusic.Music.GridLen()
+	out := make(map[string]*loc.GridIndex, len(cfg.Arrays))
+	for id, arr := range cfg.Arrays {
+		g, err := loc.NewGridIndex(arr, cfg.Grid, bins)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: grid index for %s: %w", id, err)
+		}
+		out[id] = g
+	}
+	return out, nil
 }
 
 // checkRestoredGrid rejects a restored baseline whose spectra are not
@@ -498,10 +522,11 @@ func (p *Pipeline) enqueue(j job) error {
 		case old := <-p.jobs:
 			p.c.snapshotsDropped.Add(uint64(len(old.tags)))
 			p.ins.snapshotsDropped(len(old.tags))
-			trc := p.cfg.Tracer.Active(old.seq)
-			for _, tr := range old.tags {
-				trc.Event(tracing.EventSnapshotDropped,
-					old.reader+"/"+hex.EncodeToString(tr.EPC), p.now())
+			if trc := p.cfg.Tracer.Active(old.seq); trc != nil {
+				for _, tr := range old.tags {
+					trc.Event(tracing.EventSnapshotDropped,
+						old.reader+"/"+hex.EncodeToString(tr.EPC), p.now())
+				}
 			}
 			if err := p.asm.submit(&report{reader: old.reader, round: old.round, seq: old.seq}); err != nil {
 				return err
@@ -513,17 +538,26 @@ func (p *Pipeline) enqueue(j job) error {
 
 // worker is one spectrum-pool goroutine: it evaluates every tag of a
 // report job, then hands the completed report to the reader's round
-// sequencer. Each worker owns one pmusic.Workspace per array geometry,
-// so every scratch stage is reused across the snapshots it processes
-// while the steering tables stay shared and read-only.
+// sequencer.
 func (p *Pipeline) worker() {
 	defer p.workerWG.Done()
-	ws := map[*rf.Array]*pmusic.Workspace{}
+	sc := &workerScratch{ws: map[*rf.Array]*pmusic.Workspace{}}
 	for j := range p.jobs {
-		if p.asm.submit(p.runJob(ws, j)) != nil {
+		if p.asm.submit(p.runJob(sc, j)) != nil {
 			return
 		}
 	}
+}
+
+// workerScratch is one spectrum worker's reusable state. It owns one
+// pmusic.Workspace per array geometry, so every scratch stage is
+// reused across the snapshots it processes while the steering tables
+// stay shared and read-only, and the buffer a decoded tag's samples
+// are decoded into: once per tag, consumed by that tag's spectrum or
+// beam powers before the next tag's decode.
+type workerScratch struct {
+	ws    map[*rf.Array]*pmusic.Workspace
+	snaps llrp.SnapshotBuf
 }
 
 // runJob evaluates every tag snapshot of one report job, recording a
@@ -533,7 +567,7 @@ func (p *Pipeline) worker() {
 // sample and the monitored beam powers for every other tag; any other
 // job computes every tag's full spectrum. Either way each tag counts
 // once in the spectrum stage's span, histogram and result counter.
-func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
+func (p *Pipeline) runJob(sc *workerScratch, j job) *report {
 	g := &report{reader: j.reader, round: j.round, seq: j.seq, read: make([]string, 0, len(j.tags))}
 	var pl *plan
 	if j.round >= p.cfg.BaselineRounds {
@@ -543,14 +577,16 @@ func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
 		g.evidence = make(map[string][]float64, len(pl.idx))
 	}
 	trc := p.cfg.Tracer.Active(j.seq)
-	for _, tr := range j.tags {
+	for i := range j.tags {
+		tr := &j.tags[i]
 		epc := string(tr.EPC)
 		start := p.now()
 		span := p.ins.span(stageSpectrum, start)
+		rows := tr.Rows(&sc.snaps)
 		var err error
 		if pl.full(j.round, epc) {
 			var sp *pmusic.Spectrum
-			if sp, err = p.computeSnapshot(ws, j.arr, tr.Snapshot); err == nil {
+			if sp, err = p.computeSnapshot(sc.ws, j.arr, rows); err == nil {
 				if g.spectra == nil {
 					g.spectra = make(map[string]*pmusic.Spectrum, len(j.tags))
 				}
@@ -558,18 +594,20 @@ func (p *Pipeline) runJob(ws map[*rf.Array]*pmusic.Workspace, j job) *report {
 			}
 		} else {
 			var ev []float64
-			if ev, err = p.monitoredBeams(ws, j.arr, pl.idx[epc], tr.Snapshot); err == nil && len(ev) > 0 {
+			if ev, err = p.monitoredBeams(sc.ws, j.arr, pl.idx[epc], rows); err == nil && len(ev) > 0 {
 				g.evidence[epc] = ev
 			}
 		}
 		end := p.now()
 		p.decodeHist.ObserveDuration(span.EndAt(end))
-		// The trace span runs from enqueue to completion with the
-		// wait before compute recorded separately, so Compute()
-		// isolates the spectrum-stage cost from backlog-induced
-		// latency.
-		trc.Span(tracing.StageSpectrum, j.reader, hex.EncodeToString(tr.EPC),
-			j.enq, end, start.Sub(j.enq))
+		if trc != nil {
+			// The trace span runs from enqueue to completion with the
+			// wait before compute recorded separately, so Compute()
+			// isolates the spectrum-stage cost from backlog-induced
+			// latency.
+			trc.Span(tracing.StageSpectrum, j.reader, hex.EncodeToString(tr.EPC),
+				j.enq, end, start.Sub(j.enq))
+		}
 		if err != nil {
 			p.c.spectraFailed.Add(1)
 			p.ins.spectrum(false)

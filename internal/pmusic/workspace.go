@@ -40,7 +40,7 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 }
 
 // Compute runs the full P-MUSIC pipeline of Eq. 14 on N snapshot rows
-// of M samples each — the decoded llrp.TagReport.Snapshot form,
+// of M samples each — the llrp.TagReport.Rows form,
 // correlated in place without a matrix copy. Every stage runs in the
 // workspace's scratch; the only allocations are the returned Spectrum
 // and the one array its Power and Beam share.
