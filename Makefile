@@ -50,20 +50,23 @@ chaos:
 # recorded perf history is BENCH_baseline.json (make perf-gate) and the
 # served-path benchmark (e2ebench/). BenchmarkWALAppend rides along because
 # WAL append sits on the ingest hot path when -wal-dir is set — a
-# regression there throttles every accepted report.
+# regression there throttles every accepted report. BenchmarkWALRecover
+# is an environment's dark time on adoption, handoff or restart: its
+# B/op shows whether recovery still reads each payload once.
 # BenchmarkBrokerFanout sweeps API fan-out (100 → 100k subscribers,
 # deprecated channel broker vs snapshot+delta hub): publish runs on the
 # pipeline's fix callback, so a linear-in-subscribers broker would put
 # fleet fan-out on the fusion hot path.
-HOTPATH_BENCH = BenchmarkMusicSpectrum|BenchmarkPMusicSpectrum|BenchmarkBeamPower|BenchmarkLocalizeGrid|BenchmarkPipelineThroughput|BenchmarkWALAppend|BenchmarkBrokerFanout
+HOTPATH_BENCH = BenchmarkMusicSpectrum|BenchmarkPMusicSpectrum|BenchmarkBeamPower|BenchmarkLocalizeGrid|BenchmarkPipelineThroughput|BenchmarkWALAppend|BenchmarkWALRecover|BenchmarkBrokerFanout
 bench:
 	$(GO) test -run '^$$' -bench '$(HOTPATH_BENCH)' -benchtime 100x -count 3 -benchmem . ./internal/wal/ ./internal/serve/
 
-# CI's perf canary: one short fixed-count pass over the spectrum and
-# pipeline benches. Proves the perf path compiles and runs — no timing
-# gate, Actions boxes are too noisy for that.
+# CI's perf canary: one short fixed-count pass over the spectrum,
+# pipeline and WAL-recovery benches. Proves the perf path compiles and
+# runs — no timing gate, Actions boxes are too noisy for that.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkPMusicSpectrum|BenchmarkMusicSpectrum|BenchmarkPipelineThroughput' -benchtime 100x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkWALRecover' -benchtime 100x -benchmem ./internal/wal/
 
 # The figure benchmarks run one iteration each; they reproduce the
 # paper's evaluation, not machine performance.

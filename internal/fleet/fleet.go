@@ -243,10 +243,13 @@ func Deployment(id string, cfg sim.Config) (pipeline.Deployment, *sim.Scenario, 
 	return pipeline.Deployment{Arrays: arrays, Grid: sc.Grid}, sc, nil
 }
 
-// Add builds (through Deployment), registers, and starts an
+// Add builds (through Deployment), starts, and registers an
 // environment from a deployment config. When a WAL root is configured
-// the environment's surviving records are replayed through the fresh
-// pipeline before Add returns.
+// the pipeline starts first and the environment's surviving records
+// are replayed through it by the WAL's one recovery scan, before the
+// environment is registered and Add returns. A WAL that recovery
+// refuses (damage before its final segment) tears the environment
+// down and fails Add, registering nothing.
 func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, error) {
 	if err := validateID(id); err != nil {
 		return nil, err
@@ -268,16 +271,6 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 			Objective: cfg.SLO.Objective,
 		})
 	}
-	if f.o.walRoot != "" {
-		w, err := wal.Open(filepath.Join(f.o.walRoot, id),
-			append([]wal.Option{wal.WithLogger(f.o.logger), wal.WithObs(f.o.reg)}, f.o.walOpts...)...)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: wal %s: %w", id, err)
-		}
-		e.wal = w
-		e.walStatus = func() api.WALStatus { return adapt.WALStatus(w.Status()) }
-	}
-
 	pipeOpts := []pipeline.Option{
 		pipeline.WithObs(f.o.reg),
 		pipeline.WithTracer(e.tracer),
@@ -290,9 +283,6 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 	pipeOpts = append(pipeOpts, popts...)
 	p, err := pipeline.New(dep, pipeOpts...)
 	if err != nil {
-		if e.wal != nil {
-			e.wal.Close()
-		}
 		return nil, fmt.Errorf("fleet: pipeline %s: %w", id, err)
 	}
 	e.pipe = p
@@ -340,10 +330,10 @@ func (f *Fleet) Add(id string, cfg sim.Config, popts ...pipeline.Option) (*Env, 
 		}
 	}()
 
-	if e.wal != nil {
-		if err := f.replayWAL(e); err != nil {
+	if f.o.walRoot != "" {
+		if err := f.openWAL(e); err != nil {
 			f.teardownEnv(e)
-			return nil, fmt.Errorf("fleet: wal replay %s: %w", id, err)
+			return nil, fmt.Errorf("fleet: wal %s: %w", id, err)
 		}
 	}
 
@@ -713,12 +703,13 @@ func payloadsInOrder(round sim.LLRPRound) [][]byte {
 	return out
 }
 
-// replayWAL re-ingests an environment's surviving records through its
-// fresh pipeline; reports for readers the (possibly reloaded) scenario
-// no longer has are skipped.
-func (f *Fleet) replayWAL(e *Env) error {
+// openWAL opens and recovers the environment's WAL subdirectory,
+// re-ingesting each surviving record through the started pipeline as
+// recovery's one scan validates it; reports for readers the (possibly
+// reloaded) scenario no longer has are skipped.
+func (f *Fleet) openWAL(e *Env) error {
 	var replayed, skipped int
-	res, err := wal.Scan(e.wal.Dir(), func(rec wal.Record) error {
+	replay := func(rec wal.Record) error {
 		if rec.Type != llrp.MsgROAccessReport {
 			return nil
 		}
@@ -740,13 +731,18 @@ func (f *Fleet) replayWAL(e *Env) error {
 		}
 		replayed++
 		return nil
-	})
+	}
+	opts := []wal.Option{wal.WithLogger(f.o.logger), wal.WithObs(f.o.reg)}
+	opts = append(append(opts, f.o.walOpts...), wal.WithReplay(replay))
+	w, err := wal.Open(filepath.Join(f.o.walRoot, e.id), opts...)
 	if err != nil {
 		return err
 	}
-	if res.Records > 0 {
+	e.wal = w
+	e.walStatus = func() api.WALStatus { return adapt.WALStatus(w.Status()) }
+	if n := w.Status().Recovered; n > 0 {
 		f.o.logger.Info("wal recovery replayed", "env", e.id,
-			"records", res.Records, "ingested", replayed, "skipped", skipped)
+			"records", n, "ingested", replayed, "skipped", skipped)
 	}
 	return nil
 }

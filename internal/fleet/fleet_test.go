@@ -18,6 +18,7 @@ import (
 	"dwatch/internal/pipeline"
 	"dwatch/internal/serve"
 	"dwatch/internal/sim"
+	"dwatch/internal/wal"
 )
 
 // tableCfg is the cheap two-reader scenario every pipeline test uses,
@@ -194,6 +195,53 @@ func TestFleetWALReplayOnReadd(t *testing.T) {
 	if got := e2.Pipeline().Stats().ReportsIn; got != ingested {
 		t.Fatalf("replayed ReportsIn = %d, want %d", got, ingested)
 	}
+}
+
+// TestFleetAddRefusesMidLogDamage: a WAL damaged before its final
+// segment fails Add even though recovery has replayed the records
+// before the damage into the started pipeline. The environment is torn
+// down: nothing is registered, its metric series are gone with it, and
+// no goroutine outlives the failed Add.
+func TestFleetAddRefusesMidLogDamage(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	root := t.TempDir()
+	f := New(WithWALRoot(root, wal.WithFsync(wal.FsyncNever), wal.WithSegmentMaxBytes(4<<10)))
+	defer f.Close()
+	if _, err := f.Add("room-a", tableCfg(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Simulate(context.Background(), "room-a", 2, 4, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Remove("room-a"); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(root, "room-a")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) < 3 {
+		t.Fatalf("WAL has %d segments, want at least 3", len(ents))
+	}
+	// Flip a byte mid-way through the second segment, inside a record.
+	seg := filepath.Join(dir, ents[1].Name())
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xff
+	if err := os.WriteFile(seg, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := f.Add("room-a", tableCfg(1)); err == nil || !strings.Contains(err.Error(), "damaged mid-log") {
+		t.Fatalf("Add on a WAL damaged mid-log = %v, want the damage refused", err)
+	}
+	if _, ok := f.Env("room-a"); ok || f.Len() != 0 {
+		t.Fatalf("failed Add registered an environment (%d registered)", f.Len())
+	}
+	settle(t, baseline)
 }
 
 // TestFleetLoadDir boots environments from a directory of JSON

@@ -132,7 +132,7 @@ type path struct {
 
 // tagState is the per-(reader, tag) record.
 type tagState struct {
-	epc      string // hex
+	epc      string // hex, rendered once when the tag is first tracked
 	reads    uint64
 	lastSeen time.Time
 	rate     float64 // EWMA reads/sec
@@ -144,8 +144,8 @@ type tagState struct {
 
 // readerState groups a reader's tags and its calibration residual.
 type readerState struct {
-	tags     map[string]*tagState
-	residual float64 // EWMA |angle deviation|, radians
+	tags     map[string]*tagState // by raw EPC
+	residual float64              // EWMA |angle deviation|, radians
 	resSet   bool
 
 	residualG *obs.Gauge
@@ -236,15 +236,14 @@ func (m *Monitor) Observe(reader, epc string, sp *pmusic.Spectrum, now time.Time
 		}
 		m.readers[reader] = rs
 	}
-	key := EPCKey(epc)
-	ts := rs.tags[key]
+	ts := rs.tags[epc]
 	if ts == nil {
-		ts = &tagState{epc: key}
+		ts = &tagState{epc: EPCKey(epc)}
 		if m.reg != nil {
-			ts.readsC = m.reads.With(reader, key)
-			ts.rateG = m.rateVec.With(reader, key)
+			ts.readsC = m.reads.With(reader, ts.epc)
+			ts.rateG = m.rateVec.With(reader, ts.epc)
 		}
-		rs.tags[key] = ts
+		rs.tags[epc] = ts
 	}
 
 	// Read accounting: count, then fold the inter-read interval into

@@ -36,6 +36,26 @@ func spectrum(peaks ...[2]float64) *pmusic.Spectrum {
 	return sp
 }
 
+// TestObserveTrackedTagAllocs: a bare read (nil spectrum) of a tag the
+// monitor already tracks allocates nothing — its hex label and metric
+// children were made when the tag was first tracked.
+func TestObserveTrackedTagAllocs(t *testing.T) {
+	m := New(obs.NewRegistry(), Options{})
+	epc := "\x30\x08\x33\xb2\xdd\xd9\x01\x40\x00\x00\x00\x01"
+	now := h0
+	m.Observe("r1", epc, nil, now)
+	allocs := testing.AllocsPerRun(100, func() {
+		now = now.Add(100 * time.Millisecond)
+		m.Observe("r1", epc, nil, now)
+	})
+	if allocs != 0 {
+		t.Fatalf("Observe of a tracked tag: %v allocs, want 0", allocs)
+	}
+	if got := m.Snapshot().Readers[0].Tags[0].EPC; got != "300833b2ddd9014000000001" {
+		t.Fatalf("tag label %q, want the EPC's hex", got)
+	}
+}
+
 func TestReadRateEWMA(t *testing.T) {
 	m := New(nil, Options{})
 	// 10 reads at exactly 10 Hz.

@@ -347,6 +347,49 @@ func TestROSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnmarshalAllocsConstant: decoding a library report — 21 tags of
+// 10 × 8 snapshots — costs the report, its Reports slice (sized once)
+// and the reader ID, whatever its tag count. Each EPC aliases the
+// payload, as the snapshot bytes do.
+func TestUnmarshalAllocsConstant(t *testing.T) {
+	rep := &ROAccessReport{ReaderID: "library/reader-1", Seq: 7}
+	for tag := 0; tag < 21; tag++ {
+		snap := make([][]complex128, 10)
+		for i := range snap {
+			snap[i] = make([]complex128, 8)
+		}
+		epc := []byte{0x30, 0x08, 0x33, 0xB2, 0xDD, 0xD9, 0x01, 0x40, 0x00, 0x00, 0x00, byte(tag)}
+		rep.Reports = append(rep.Reports, TagReport{EPC: epc, AntennaID: 1, Snapshot: snap})
+	}
+	payload, err := rep.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := UnmarshalROAccessReport(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Reports) != 21 || cap(got.Reports) != 21 {
+		t.Fatalf("decoded %d tag reports in a slice of cap %d, want 21 and 21", len(got.Reports), cap(got.Reports))
+	}
+	for i, tr := range got.Reports {
+		if !bytes.Equal(tr.EPC, rep.Reports[i].EPC) {
+			t.Fatalf("tag %d EPC %x, want %x", i, tr.EPC, rep.Reports[i].EPC)
+		}
+		if at := bytes.Index(payload, tr.EPC); at < 0 || &payload[at] != &tr.EPC[0] {
+			t.Fatalf("tag %d EPC does not alias the payload", i)
+		}
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := UnmarshalROAccessReport(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("decoding a 21-tag report: %v allocs, want at most 3", allocs)
+	}
+}
+
 // TestDecodedRowsIntoWarmBuf: a decoded report keeps its snapshot
 // bytes and decodes them on demand. Into a warm SnapshotBuf the decode
 // allocates nothing, the rows carry the float32 samples exactly, and

@@ -240,16 +240,35 @@ func (r *ROAccessReport) Marshal() ([]byte, error) {
 	return payload, nil
 }
 
+// minTagReportLen is the smallest valid tag-report parameter: its TLV
+// header around an EPC parameter of one byte.
+const minTagReportLen = 4 + 4 + 1
+
 // UnmarshalROAccessReport parses an RO_ACCESS_REPORT payload. Every
 // parameter is validated, snapshot dims and byte counts included, so a
-// malformed report is refused whole. Snapshot samples are not
-// materialized: each TagReport keeps its validated snapshot bytes,
-// which alias payload, and decodes them on demand (TagReport.Rows). The
-// caller must therefore not reuse or modify payload while the report
-// is in use — hand over a buffer of its own, as Conn.Recv and the WAL
-// scanner do (each returns a fresh one per message).
+// malformed report is refused whole. Nothing per tag is copied: each
+// TagReport's EPC aliases payload, and so do its validated snapshot
+// bytes, which it decodes on demand (TagReport.Rows). The caller must
+// therefore not reuse or modify payload while the report is in use —
+// hand over a buffer of its own, as Conn.Recv and the WAL scanner do
+// (each returns a fresh one per message) — and copies an EPC it keeps
+// beyond the payload's life. Reports is sized once, from a count of
+// the tag-report parameters capped by what the payload's length can
+// hold, so a decode costs a few allocations whatever its tag count.
 func UnmarshalROAccessReport(payload []byte) (*ROAccessReport, error) {
 	out := &ROAccessReport{}
+	n := 0
+	// A malformed payload stops the count early; the full walk below
+	// refuses it.
+	_ = walkParams(payload, func(typ uint16, _ []byte) error {
+		if typ == ParamTagReportData {
+			n++
+		}
+		return nil
+	})
+	if n = min(n, len(payload)/minTagReportLen); n > 0 {
+		out.Reports = make([]TagReport, 0, n)
+	}
 	err := walkParams(payload, func(typ uint16, val []byte) error {
 		switch typ {
 		case ParamReaderID:
@@ -260,11 +279,12 @@ func UnmarshalROAccessReport(payload []byte) (*ROAccessReport, error) {
 			}
 			out.Seq = binary.BigEndian.Uint32(val)
 		case ParamTagReportData:
-			tr := TagReport{}
+			out.Reports = append(out.Reports, TagReport{})
+			tr := &out.Reports[len(out.Reports)-1]
 			if err := walkParams(val, func(t uint16, v []byte) error {
 				switch t {
 				case ParamEPCData:
-					tr.EPC = append([]byte(nil), v...)
+					tr.EPC = v
 				case ParamAntennaID:
 					if len(v) != 2 {
 						return fmt.Errorf("%w: antenna id length %d", ErrBadParam, len(v))
@@ -288,7 +308,6 @@ func UnmarshalROAccessReport(payload []byte) (*ROAccessReport, error) {
 			if len(tr.EPC) == 0 {
 				return fmt.Errorf("%w: tag report without EPC", ErrBadParam)
 			}
-			out.Reports = append(out.Reports, tr)
 		}
 		return nil // unknown outer params are skipped
 	})

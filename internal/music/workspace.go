@@ -24,7 +24,7 @@ type Workspace struct {
 	opts Options // resolved: GridSize/Subarray/Threshold are concrete
 	tab  *rf.SteeringTable
 
-	corr  *cmatrix.Matrix // M×M correlation accumulator (Correlate, Scan, Compute)
+	corr  *cmatrix.Matrix // M×M correlation accumulator (Scan, Compute)
 	sm    *cmatrix.Matrix // L×L smoothed matrix (nil when NoSmoothing)
 	eig   cmatrix.EigenWorkspace
 	eigen cmatrix.Eigen // decomposition of the last scan
@@ -66,10 +66,11 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 func (w *Workspace) Table() *rf.SteeringTable { return w.tab }
 
 // Correlation exposes the M×M correlation accumulator filled by the
-// last Scan, Compute or Correlate call, so P-MUSIC's beamformer can
-// evaluate Eq. 13 in the correlation domain (PB = aᴴ·R̂·a / M²)
-// without a second pass over the snapshots. The matrix is workspace scratch: read-only,
-// valid until the next call.
+// last Scan or Compute call, so P-MUSIC's beamformer can evaluate
+// Eq. 13 in the correlation domain (PB = aᴴ·R̂·a / M²) without a second
+// pass over the snapshots. Only those calls write it, always in full.
+// The matrix is workspace scratch: read-only, valid until the next
+// call.
 func (w *Workspace) Correlation() *cmatrix.Matrix { return w.corr }
 
 // Compute runs MUSIC on an N×M snapshot matrix, passing its row views
@@ -86,10 +87,19 @@ func (w *Workspace) Compute(x *cmatrix.Matrix) (*Result, error) {
 // workspace, returning the pseudo-spectrum B(θ) over the table grid.
 // This is the one result the package hands back as workspace scratch:
 // the slice is read-only and valid until the next call, and
-// Correlation reads the same scan's R̂.
+// Correlation reads the same scan's R̂: R = (1/N)·Σ xₙ·xₙᴴ accumulated
+// straight from the rows, matching Correlation's arithmetic exactly.
 func (w *Workspace) Scan(rows [][]complex128) ([]float64, error) {
-	if err := w.Correlate(rows); err != nil {
+	if err := w.CheckRows(rows); err != nil {
 		return nil, err
+	}
+	for i := range w.corr.Data {
+		w.corr.Data[i] = 0
+	}
+	s := 1 / float64(len(rows))
+	for _, row := range rows {
+		// OuterAdd cannot fail: every row length was checked above.
+		_ = w.corr.OuterAdd(row, s)
 	}
 	if err := w.scan(w.corr); err != nil {
 		return nil, err
@@ -99,8 +109,8 @@ func (w *Workspace) Scan(rows [][]complex128) ([]float64, error) {
 
 // CheckRows validates N snapshot rows without correlating them: there
 // must be at least one, and every row must span the array. It is the
-// validation Scan and Correlate run first, so a caller that needs no
-// spectrum of a snapshot still rejects exactly the rows they would.
+// validation Scan runs first, so a caller that needs no spectrum of a
+// snapshot still rejects exactly the rows it would.
 func (w *Workspace) CheckRows(rows [][]complex128) error {
 	if len(rows) == 0 {
 		return fmt.Errorf("%w: empty snapshot matrix", ErrBadInput)
@@ -109,25 +119,6 @@ func (w *Workspace) CheckRows(rows [][]complex128) error {
 		if len(row) != w.arr.Elements {
 			return fmt.Errorf("%w: %d columns for %d-element array", ErrBadInput, len(row), w.arr.Elements)
 		}
-	}
-	return nil
-}
-
-// Correlate runs only Scan's first stage: it validates the rows
-// (CheckRows) and accumulates R = (1/N)·Σ xₙ·xₙᴴ into the workspace
-// straight from them, matching Correlation's arithmetic exactly;
-// Correlation then reads the result. It allocates nothing.
-func (w *Workspace) Correlate(rows [][]complex128) error {
-	if err := w.CheckRows(rows); err != nil {
-		return err
-	}
-	for i := range w.corr.Data {
-		w.corr.Data[i] = 0
-	}
-	s := 1 / float64(len(rows))
-	for _, row := range rows {
-		// OuterAdd cannot fail: every row length was checked above.
-		_ = w.corr.OuterAdd(row, s)
 	}
 	return nil
 }

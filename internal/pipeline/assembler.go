@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"sort"
@@ -45,15 +46,17 @@ type report struct {
 // without a lock. The reader's monitored set never changes after its
 // confirmation, so the plan stays equal to the fuser's MonitoredPeaks.
 type plan struct {
-	keys []string         // the reader's baseline tags, sorted
-	idx  map[string][]int // per tag, its monitored peaks' grid indices in MonitoredPeaks order
+	keys   []string          // the reader's baseline tags, sorted
+	idx    map[string][]int  // per tag, its monitored peaks' grid indices in MonitoredPeaks order
+	labels map[string]string // per tag, its hex EPC: the trace spans' tag label
 }
 
 // newPlan snapshots a reader's monitored peaks from the fuser; the
 // caller holds fuserMu.
 func newPlan(f *dwatch.Fuser, readerID string) *plan {
-	pl := &plan{keys: f.Tags(readerID), idx: map[string][]int{}}
+	pl := &plan{keys: f.Tags(readerID), idx: map[string][]int{}, labels: map[string]string{}}
 	for _, k := range pl.keys {
+		pl.labels[k] = hex.EncodeToString([]byte(k))
 		peaks := f.MonitoredPeaks(readerID, []byte(k))
 		if len(peaks) == 0 {
 			continue
@@ -77,6 +80,18 @@ func (pl *plan) full(round int, epc string) bool {
 		return true
 	}
 	return len(pl.keys) > 0 && pl.keys[round%len(pl.keys)] == epc
+}
+
+// label returns a tag's hex EPC for trace spans: the plan's, rendered
+// once per baseline tag, or a fresh encoding without a plan (baseline
+// rounds) or for a tag outside it.
+func (pl *plan) label(epc string) string {
+	if pl != nil {
+		if l, ok := pl.labels[epc]; ok {
+			return l
+		}
+	}
+	return hex.EncodeToString([]byte(epc))
 }
 
 // seqGroup accumulates one acquisition sequence across readers: each

@@ -605,7 +605,7 @@ func (p *Pipeline) runJob(sc *workerScratch, j job) *report {
 			// wait before compute recorded separately, so Compute()
 			// isolates the spectrum-stage cost from backlog-induced
 			// latency.
-			trc.Span(tracing.StageSpectrum, j.reader, hex.EncodeToString(tr.EPC),
+			trc.Span(tracing.StageSpectrum, j.reader, pl.label(epc),
 				j.enq, end, start.Sub(j.enq))
 		}
 		if err != nil {

@@ -2,7 +2,9 @@ package pmusic
 
 import (
 	"fmt"
+	"math/cmplx"
 
+	"dwatch/internal/cmatrix"
 	"dwatch/internal/music"
 	"dwatch/internal/rf"
 )
@@ -12,16 +14,19 @@ import (
 // the subspace stage reuses its correlation, smoothing,
 // eigendecomposition, noise-subspace and pseudo-spectrum scratch and
 // the shared steering table) and adds the peak and normalization
-// scratch of the power stage. The returned Spectrum owns its memory —
-// its Angles alias the immutable shared grid — and may be retained by
-// callers (baselines, sequence groups) across further workspace calls.
+// scratch of the power stage and the half-filled correlation scratch
+// of the monitored-peak path (BeamAt). The returned Spectrum owns its
+// memory — its Angles alias the immutable shared grid — and may be
+// retained by callers (baselines, sequence groups) across further
+// workspace calls.
 //
 // Not safe for concurrent use; give each goroutine its own.
 type Workspace struct {
 	opts  Options
 	mw    *music.Workspace
-	nor   []float64    // normalization scratch, fully overwritten per run
-	peaks []music.Peak // peak-finding scratch
+	nor   []float64       // normalization scratch, fully overwritten per run
+	peaks []music.Peak    // peak-finding scratch
+	upper *cmatrix.Matrix // BeamAt's R̂: diagonal and upper triangle only
 }
 
 // NewWorkspace resolves the options and builds the underlying MUSIC
@@ -33,9 +38,10 @@ func NewWorkspace(arr *rf.Array, opts Options) (*Workspace, error) {
 		return nil, err
 	}
 	return &Workspace{
-		opts: opts,
-		mw:   mw,
-		nor:  make([]float64, mw.Table().Len()),
+		opts:  opts,
+		mw:    mw,
+		nor:   make([]float64, mw.Table().Len()),
+		upper: cmatrix.New(arr.Elements, arr.Elements),
 	}, nil
 }
 
@@ -70,12 +76,13 @@ func (w *Workspace) Compute(rows [][]complex128) (*Spectrum, error) {
 // BeamAt evaluates only the Eq. 13 beam power of N snapshot rows at
 // the given grid indices, writing PB(θ_idx[k]) to out[k]: the one
 // number per monitored peak the online fix reads (dwatch.Fuser.
-// BuildView). It runs Compute's correlation step (music.Workspace.
-// Correlate, with the same row validation) and then beamPowerCorr's
-// loop over idx alone, so out[k] is bit-identical to Compute(rows).
-// Beam[idx[k]] — at a few percent of its cost, and allocating nothing.
-// With no indices it only validates the rows. An index outside the
-// steering table, or an out not the length of idx, is an error.
+// BuildView). It validates the rows as Compute does (music.Workspace.
+// CheckRows), correlates only the entries beamPowerCorr reads
+// (correlateUpper) and runs beamPowerCorr's loop over idx alone, so
+// out[k] is bit-identical to Compute(rows).Beam[idx[k]] — at a few
+// percent of its cost, and allocating nothing. With no indices it only
+// validates the rows. An index outside the steering table, or an out
+// not the length of idx, is an error.
 func (w *Workspace) BeamAt(rows [][]complex128, idx []int, out []float64) error {
 	if len(out) != len(idx) {
 		return fmt.Errorf("%w: %d outputs for %d indices", music.ErrBadInput, len(out), len(idx))
@@ -86,12 +93,36 @@ func (w *Workspace) BeamAt(rows [][]complex128, idx []int, out []float64) error 
 			return fmt.Errorf("%w: grid index %d outside %d angles", music.ErrBadInput, i, tab.Len())
 		}
 	}
-	if len(idx) == 0 {
-		return w.mw.CheckRows(rows)
-	}
-	if err := w.mw.Correlate(rows); err != nil {
+	if err := w.mw.CheckRows(rows); err != nil || len(idx) == 0 {
 		return err
 	}
-	beamPowerCorr(out, w.mw.Correlation(), tab, idx)
+	correlateUpper(w.upper, rows)
+	beamPowerCorr(out, w.upper, tab, idx)
 	return nil
+}
+
+// correlateUpper accumulates R̂ = (1/N)·Σ xₙ·xₙᴴ into r, already M×M,
+// over the diagonal and upper triangle only — every entry
+// beamPowerCorr reads, 36 of 64 at M = 8 — and leaves the lower
+// triangle zero. Each entry sums cmatrix.Matrix.OuterAdd's
+// (s·xᵢ)·conj(xⱼ) over the rows in order from zero, as the full
+// correlation does, so it holds the same bits. Mirroring the lower
+// triangle as conj(upper) would not: (s·xⱼ)·conj(xᵢ) rounds
+// differently. So the full spectrum, whose smoothing reads both
+// triangles, keeps the whole matrix, and this half-filled one stays
+// BeamAt's own scratch, never the music workspace's Correlation.
+func correlateUpper(r *cmatrix.Matrix, rows [][]complex128) {
+	clear(r.Data)
+	m := r.Cols
+	s := complex(1/float64(len(rows)), 0)
+	for _, row := range rows {
+		for i, vi := range row {
+			sv := s * vi
+			tail := row[i:]
+			acc := r.Data[i*m+i:][:len(tail)]
+			for j, vj := range tail {
+				acc[j] += sv * cmplx.Conj(vj)
+			}
+		}
+	}
 }

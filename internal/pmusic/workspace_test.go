@@ -190,6 +190,47 @@ func TestBeamAtBitIdenticalToCompute(t *testing.T) {
 	}
 }
 
+// TestComputeAfterBeamAtBitIdentical: BeamAt's half-filled
+// correlation never leaks into a full spectrum. A Compute run after
+// BeamAt on the same workspace returns the same Power and Beam bits as
+// a fresh workspace's Compute.
+func TestComputeAfterBeamAtBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, m := range []int{4, 8} {
+		arr := testArray(t, m)
+		used, err := NewWorkspace(arr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 3; trial++ {
+			before := synth(arr, []float64{0.4 + 0.6*float64(trial), 2.2}, []float64{1, 0.7}, 10, 0.05, rng)
+			x := synth(arr, []float64{1.0, 2.6 - 0.3*float64(trial)}, []float64{1, 0.5}, 10, 0.05, rng)
+			out := make([]float64, 3)
+			if err := used.BeamAt(before.RowViews(), []int{20, 180, 340}, out); err != nil {
+				t.Fatal(err)
+			}
+			got, err := used.Compute(x.RowViews())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewWorkspace(arr, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.Compute(x.RowViews())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want.Power {
+				if got.Power[i] != want.Power[i] || got.Beam[i] != want.Beam[i] {
+					t.Fatalf("m=%d trial %d angle %d: after BeamAt (%v, %v), fresh (%v, %v)",
+						m, trial, i, got.Power[i], got.Beam[i], want.Power[i], want.Beam[i])
+				}
+			}
+		}
+	}
+}
+
 // TestBeamAtAllocs: evaluating monitored peaks allocates nothing.
 func TestBeamAtAllocs(t *testing.T) {
 	arr := testArray(t, 8)

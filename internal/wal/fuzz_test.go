@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,7 +12,9 @@ import (
 // a segment file. Whatever is on disk after a crash — torn frames,
 // bit rot, garbage lengths, hostile CRC-valid forgeries — the scanner
 // must classify it (records, damage, or bad segment) without panicking
-// and without accepting a record it cannot prove whole.
+// and without accepting a record it cannot prove whole. Every accepted
+// payload must stand alone (its own buffer, exactly its length), and
+// Open's recovery must replay exactly the records Scan accepted.
 func FuzzSegmentScanner(f *testing.F) {
 	// Seed the corpus with the interesting shapes: a clean segment, a
 	// bare header, truncations at every boundary of a real record, and
@@ -66,6 +69,26 @@ func FuzzSegmentScanner(f *testing.F) {
 		if res.LastSeq != prev {
 			t.Fatalf("LastSeq %d, want %d", res.LastSeq, prev)
 		}
+		// Each payload is its own buffer: no spare capacity to append
+		// into, and overwriting one leaves every other unchanged.
+		saved := make([][]byte, len(scanned))
+		for i, rec := range scanned {
+			if cap(rec.Payload) != len(rec.Payload) {
+				t.Fatalf("record %d payload cap %d, len %d", i, cap(rec.Payload), len(rec.Payload))
+			}
+			saved[i] = append([]byte(nil), rec.Payload...)
+		}
+		for i, rec := range scanned {
+			for k := range rec.Payload {
+				rec.Payload[k] ^= 0xff
+			}
+			for j, other := range scanned {
+				if j != i && !bytes.Equal(other.Payload, saved[j]) {
+					t.Fatalf("overwriting record %d's payload changed record %d's", i, j)
+				}
+			}
+			copy(rec.Payload, saved[i])
+		}
 		if res.Damage != nil {
 			if res.Damage.Reason == "" {
 				t.Fatal("damage with empty reason")
@@ -96,13 +119,27 @@ func FuzzSegmentScanner(f *testing.F) {
 			t.Fatalf("reader yielded %d records, scan yielded %d", n, len(scanned))
 		}
 
-		// And recovery must accept whatever the scanner classified:
-		// Open truncates the tail and leaves an appendable log.
-		w, err := Open(dir, WithFsync(FsyncNever))
+		// And recovery must accept whatever the scanner classified,
+		// replaying the same records: Open truncates the tail and
+		// leaves an appendable log.
+		var replayed []Record
+		w, err := Open(dir, WithFsync(FsyncNever), WithReplay(func(rec Record) error {
+			replayed = append(replayed, rec)
+			return nil
+		}))
 		if err != nil {
 			t.Fatalf("Scan succeeded but Open failed: %v", err)
 		}
 		defer w.Close()
+		if len(replayed) != len(scanned) {
+			t.Fatalf("open replayed %d records, scan accepted %d", len(replayed), len(scanned))
+		}
+		for i, rec := range replayed {
+			want := scanned[i]
+			if rec.Seq != want.Seq || rec.Type != want.Type || !rec.At.Equal(want.At) || !bytes.Equal(rec.Payload, want.Payload) {
+				t.Fatalf("replayed record %d differs from scanned record", i)
+			}
+		}
 		if _, err := w.Append(time.Now(), 61, []byte("post-recovery")); err != nil {
 			t.Fatalf("append after recovery: %v", err)
 		}

@@ -161,8 +161,8 @@ type segmentScanner struct {
 	prevSeq uint64 // last accepted seq (0 = none yet)
 	dmg     *Damage
 
-	hdr  [recHeaderLen]byte
-	body []byte
+	hdr   [recHeaderLen]byte
+	fixed [recFixedLen]byte
 }
 
 // newSegmentScanner validates the segment header. A completely empty
@@ -195,8 +195,12 @@ func newSegmentScanner(name string, r io.Reader, prevSeq uint64) (*segmentScanne
 }
 
 // next returns the next valid record. done=true means the scan is
-// over — either clean EOF or damage; check damage(). The returned
-// record's Payload is a fresh copy, safe to retain.
+// over — either clean EOF or damage; check damage(). The record's
+// fixed fields are read into scanner scratch and its payload straight
+// into a fresh buffer of exactly its length, the one user-space copy a
+// record costs; the CRC runs over both parts in turn. The returned
+// Payload is that buffer: it shares memory with nothing else and is
+// safe to retain.
 func (s *segmentScanner) next() (rec Record, done bool, err error) {
 	if s.dmg != nil {
 		return Record{}, true, nil
@@ -217,31 +221,31 @@ func (s *segmentScanner) next() (rec Record, done bool, err error) {
 		s.fail(fmt.Sprintf("bad record length %d", bodyLen))
 		return Record{}, true, nil
 	}
-	if cap(s.body) < int(bodyLen) {
-		s.body = make([]byte, bodyLen)
-	}
-	s.body = s.body[:bodyLen]
-	if _, rerr := io.ReadFull(s.r, s.body); rerr != nil {
-		if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
-			s.fail("torn record body")
-			return Record{}, true, nil
+	payload := make([]byte, bodyLen-recFixedLen)
+	for _, part := range [][]byte{s.fixed[:], payload} {
+		if _, rerr := io.ReadFull(s.r, part); rerr != nil {
+			if errors.Is(rerr, io.EOF) || errors.Is(rerr, io.ErrUnexpectedEOF) {
+				s.fail("torn record body")
+				return Record{}, true, nil
+			}
+			return Record{}, true, rerr
 		}
-		return Record{}, true, rerr
 	}
-	if got, want := crc32.Checksum(s.body, castagnoli), binary.BigEndian.Uint32(s.hdr[4:8]); got != want {
-		s.fail(fmt.Sprintf("crc mismatch (got %08x want %08x)", got, want))
+	crc := crc32.Update(crc32.Update(0, castagnoli, s.fixed[:]), castagnoli, payload)
+	if want := binary.BigEndian.Uint32(s.hdr[4:8]); crc != want {
+		s.fail(fmt.Sprintf("crc mismatch (got %08x want %08x)", crc, want))
 		return Record{}, true, nil
 	}
-	seq := binary.BigEndian.Uint64(s.body[0:8])
+	seq := binary.BigEndian.Uint64(s.fixed[0:8])
 	if seq <= s.prevSeq {
 		s.fail(fmt.Sprintf("sequence regression (%d after %d)", seq, s.prevSeq))
 		return Record{}, true, nil
 	}
 	rec = Record{
 		Seq:     seq,
-		At:      time.UnixMicro(int64(binary.BigEndian.Uint64(s.body[8:16]))),
-		Type:    binary.BigEndian.Uint16(s.body[16:18]),
-		Payload: append([]byte(nil), s.body[recFixedLen:]...),
+		At:      time.UnixMicro(int64(binary.BigEndian.Uint64(s.fixed[8:16]))),
+		Type:    binary.BigEndian.Uint16(s.fixed[16:18]),
+		Payload: payload,
 	}
 	s.prevSeq = seq
 	s.off += int64(recHeaderLen) + int64(bodyLen)

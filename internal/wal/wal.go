@@ -174,6 +174,7 @@ type options struct {
 	retention     Retention
 	reg           *obs.Registry
 	logger        *slog.Logger
+	replay        func(Record) error
 	now           func() time.Time
 }
 
@@ -205,6 +206,16 @@ func WithObs(reg *obs.Registry) Option { return func(o *options) { o.reg = reg }
 // WithLogger attaches a structured logger for recovery, rotation, and
 // retention events.
 func WithLogger(l *slog.Logger) Option { return func(o *options) { o.logger = l } }
+
+// WithReplay hands every record recovery validates to fn, in log
+// order across segments, as Open's one scan reads it: recovery and
+// replay share one pass over the log. Each Payload is a fresh buffer
+// the callee may keep. A torn final tail's valid prefix is delivered
+// before the tail is truncated. Damage before the final segment is
+// found only when the scan reaches it, so fn may already have seen the
+// records before it when Open refuses the log. An error from fn aborts
+// Open, which returns it wrapped.
+func WithReplay(fn func(Record) error) Option { return func(o *options) { o.replay = fn } }
 
 // withNow is the test seam for rotation-by-age and retention-by-age.
 func withNow(now func() time.Time) Option { return func(o *options) { o.now = now } }
@@ -253,10 +264,11 @@ type WAL struct {
 }
 
 // Open opens (creating if needed) the WAL in dir and recovers it: all
-// existing segments are scanned, a torn or corrupt tail in the final
-// segment is truncated at the last valid record, and appending resumes
-// with the next sequence number. Damage in a non-final segment is an
-// error — that is disk rot, not a crash artifact, and silently
+// existing segments are scanned once, each valid record going to the
+// WithReplay function when one is set, a torn or corrupt tail in the
+// final segment is truncated at the last valid record, and appending
+// resumes with the next sequence number. Damage in a non-final segment
+// is an error — that is disk rot, not a crash artifact, and silently
 // dropping the segments after it would lose good data.
 func Open(dir string, opts ...Option) (*WAL, error) {
 	o := options{
@@ -286,7 +298,7 @@ func Open(dir string, opts ...Option) (*WAL, error) {
 	var lastSeq uint64
 	for i, name := range segs {
 		path := filepath.Join(dir, name)
-		res, size, err := w.scanSegmentFile(path, name, lastSeq)
+		res, size, err := scanSegmentFile(path, name, lastSeq, o.replay)
 		if err != nil {
 			return nil, err
 		}
@@ -350,7 +362,9 @@ type scanResultInternal struct {
 	dmg        *Damage
 }
 
-func (w *WAL) scanSegmentFile(path, name string, prevSeq uint64) (scanResultInternal, int64, error) {
+// scanSegmentFile scans one segment from prevSeq on, handing each
+// valid record to replay (nil = none).
+func scanSegmentFile(path, name string, prevSeq uint64, replay func(Record) error) (scanResultInternal, int64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return scanResultInternal{}, 0, err
@@ -377,7 +391,11 @@ func (w *WAL) scanSegmentFile(path, name string, prevSeq uint64) (scanResultInte
 				dmg:        sc.damage(),
 			}, st.Size(), nil
 		}
-		_ = rec
+		if replay != nil {
+			if err := replay(rec); err != nil {
+				return scanResultInternal{}, 0, fmt.Errorf("wal: replay of %s record %d: %w", name, rec.Seq, err)
+			}
+		}
 	}
 }
 
